@@ -41,6 +41,7 @@ from .polyring import (
 )
 from .quasihomog import (
     BrieskornClass,
+    CertificateError,
     DegenerateDegreeError,
     NotQuasihomogeneousError,
     ResidueMatrix,
@@ -74,6 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySingularity",
     "BrieskornClass",
+    "CertificateError",
     "Deformation",
     "DegenerateDegreeError",
     "INFINITE",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus
 from .boundary import BoundarySingularity, InvalidGermError, NonIsolatedError
@@ -24,12 +23,12 @@ from .standard_basis import INFINITE
 from .isochore import Deformation, versality_check, isochore_psi
 from .polyring import (
     ParseError,
+    PowerSeries1,
     SeriesError,
     VarContext,
     format_monomial,
     parse_polynomial,
     parse_series,
-    series_rational_power,
 )
 from .quasihomog import (
     NotQuasihomogeneousError,
@@ -178,7 +177,7 @@ def cmd_isochore(args) -> int:
         else:
             c = c.pad(args.order)
     w, psi = isochore_psi(c, args.n)
-    v = series_rational_power(w, Fraction(2, args.n + 2))
+    v = PowerSeries1(psi.coefficients[1:])  # psi = t * v
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,

@@ -66,6 +66,11 @@ class DegenerateDegreeError(ArithmeticError):
     with positive weights, but checked loudly)."""
 
 
+class CertificateError(ArithmeticError):
+    """An exactness certificate failed: a cross-check between independent
+    computations disagrees, which means a bug, not bad input."""
+
+
 # -- weights -------------------------------------------------------------------
 
 
@@ -227,7 +232,11 @@ def spectrum(bs: BoundarySingularity, weights: Sequence[Rat]) -> Spectrum:
     if bs.mu_boundary == INFINITE:
         raise NonIsolatedError("boundary Milnor number is infinite")
     spec = _staircase_spectrum(jacobian_ideal_boundary(bs.f), w, bs.ctx.names)
-    assert len(spec) == bs.mu_boundary
+    if len(spec) != bs.mu_boundary:
+        raise CertificateError(
+            f"weighted staircase has {len(spec)} monomials, "
+            f"unweighted boundary quotient has {bs.mu_boundary}"
+        )
     return spec
 
 
@@ -409,10 +418,12 @@ class _GradedStructure:
             None if g.is_zero() else weighted_degree(g, self.w) for g in self.jac
         ]
         self.reps: list[list[Polynomial]] = []
-        assert self.sb.representations is not None
+        if self.sb.representations is None:
+            raise CertificateError("standard basis lost its representations")
         for gi, rep in zip(self.sb.generators, self.sb.representations):
             d_g = weighted_degree(gi, self.w)
-            assert d_g is not None, "standard basis element is not homogeneous"
+            if d_g is None:
+                raise CertificateError("standard basis element is not homogeneous")
             row = [Polynomial.zero(self.ctx) for _ in range(n)]
             for used_idx, cof in enumerate(rep):
                 j = perm[used_idx]
@@ -428,7 +439,8 @@ class _GradedStructure:
             check = Polynomial.zero(self.ctx)
             for j in range(n):
                 check = check + row[j] * self.jac[j]
-            assert check == gi, "homogenized representation lost exactness"
+            if check != gi:
+                raise CertificateError("homogenized representation lost exactness")
             self.reps.append(row)
 
     def alpha_of(self, m: Monomial) -> Fraction:
@@ -455,7 +467,8 @@ class _GradedStructure:
                     cof_sb[k] = cof_sb[k] + factor
                     break
             else:
-                assert lm in self.staircase, "non-staircase monomial escaped division"
+                if lm not in self.staircase:
+                    raise CertificateError("non-staircase monomial escaped division")
                 rem[lm] = rem.get(lm, Fraction(0)) + lc
                 work = work - Polynomial.monomial(self.ctx, lm, lc)
         cof = [Polynomial.zero(self.ctx) for _ in self.jac]
@@ -469,7 +482,8 @@ class _GradedStructure:
         recomposed = Polynomial(self.ctx, rem)
         for j, g in enumerate(self.jac):
             recomposed = recomposed + cof[j] * g
-        assert recomposed == part, "graded decomposition lost exactness"
+        if recomposed != part:
+            raise CertificateError("graded decomposition lost exactness")
         return rem, cof
 
     def spectrum(self) -> Spectrum:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,9 +69,9 @@ class LocalOrder:
         """Sort key; the largest monomial has the smallest key."""
         return (self.degree(m), tuple(reversed(m)))
 
-    def degree(self, m: Monomial) -> Fraction:
+    def degree(self, m: Monomial) -> int | Fraction:
         if self.weights is None:
-            return Fraction(sum(m))
+            return sum(m)
         return sum((w * e for w, e in zip(self.weights, m)), Fraction(0))
 
 
@@ -82,7 +82,7 @@ def leading_term(p: Polynomial, order: LocalOrder) -> tuple[Monomial, Fraction]:
     return m, p._terms[m]
 
 
-def ecart(p: Polynomial, order: LocalOrder) -> Fraction:
+def ecart(p: Polynomial, order: LocalOrder) -> int | Fraction:
     """Spread between the largest term degree and the leading-term degree."""
     lm, _ = leading_term(p, order)
     top = max(order.degree(m) for m in p._terms)
@@ -108,9 +108,12 @@ def _mora_core(
     unit*p == sum(cofactors[i]*gens[i]) + remainder is tracked; without
     it the remainder is only guaranteed up to a nonzero rational multiple
     (intermediate results are rescaled to keep coefficients small), which
-    is what the Buchberger loop needs.  ``degree_cap`` truncates tails, a
-    sound shortcut only when the divisor set spans every monomial of the
-    cap degree (certificate-free use)."""
+    is what the Buchberger loop and membership tests need.
+
+    ``degree_cap`` D (certificate-free use only) divides modulo m^D: ``p``
+    and every partial result lose their terms of total degree >= D.  The
+    remainder is then zero iff p lies in (gens) + m^D, provided the
+    divisors are a standard basis of that ideal modulo m^D."""
     ctx = p.context
     one = Polynomial.constant(ctx, 1)
     zero = Polynomial.zero(ctx)
@@ -233,6 +236,11 @@ class StandardBasis:
 
     ``representations``, when tracked, expresses each basis element in the
     original generators: generators[i] == sum_j representations[i][j] * inputs[j].
+
+    ``degree_cap`` D, when set, means the ideal described is
+    (generators) + m^D: every monomial of total degree >= D belongs to it,
+    whether or not a leading monomial divides it.  :func:`contains` and
+    :func:`quotient_basis` honour it.
     """
 
     generators: tuple[Polynomial, ...]
@@ -240,14 +248,23 @@ class StandardBasis:
     leading_monomials: tuple[Monomial, ...]
     inputs: tuple[Polynomial, ...] = ()
     representations: tuple[tuple[Polynomial, ...], ...] | None = None
+    degree_cap: int | None = None
 
     def reduce(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial], Polynomial]:
+        """Exact weak normal form against the generators (see
+        :func:`mora_normal_form`); it does not truncate at ``degree_cap``."""
         return mora_normal_form(p, self.generators, self.order)
 
     def contains(self, p: Polynomial) -> bool:
+        """Membership of ``p`` in the ideal.  With ``degree_cap`` set, p is
+        first truncated below it (p minus its truncation lies in
+        m^degree_cap, inside the ideal) and divided modulo m^degree_cap."""
         if p.is_zero():
             return True
-        r, _, _ = self.reduce(p)
+        r, _, _ = _mora_core(
+            p, self.generators, self.order, certificate=False,
+            degree_cap=self.degree_cap,
+        )
         return r.is_zero()
 
 
@@ -263,14 +280,19 @@ def standard_basis(
     are minimalized (none divides another).  The product and chain
     criteria prune the pair queue.
 
-    ``degree_cap`` truncates all tails at the given total degree.  That is
-    only sound when ``gens`` spans every monomial of the cap degree (see
-    :func:`staircase_quotient`, which certifies such caps); it cannot be
-    combined with representation tracking.
+    ``degree_cap`` D computes a standard basis of (gens) + m^D modulo m^D,
+    for a local order that refines total degree (the unweighted one):
+    every S-polynomial and partial remainder is truncated below degree D.
+    m^D needs no generators of its own: an S-pair against a degree-D
+    monomial has all its terms in degree >= D, and reducing by one is
+    truncation.  The result records the cap; it cannot be combined with
+    representation tracking.
     """
     order = order or LocalOrder()
     if degree_cap is not None and track_representations:
         raise ValueError("degree_cap would corrupt tracked representations")
+    if degree_cap is not None and order.weights is not None:
+        raise ValueError("degree_cap needs the unweighted order")
     inputs = tuple(gens)
     work = [g for g in gens if not g.is_zero()]
     if not work:
@@ -406,21 +428,8 @@ def standard_basis(
         leading_monomials=tuple(kept_lms),
         inputs=inputs,
         representations=kept_reps,
+        degree_cap=degree_cap,
     )
-
-
-def _monomials_of_degree(arity: int, degree: int) -> list[Monomial]:
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, arity)
-    return out
 
 
 def _cap_schedule(arity: int) -> list[int]:
@@ -437,36 +446,29 @@ def staircase_quotient(
     """Standard basis and staircase of the localized ideal, using certified
     degree caps.
 
-    For a rising schedule of caps D the basis of (I + m^D) is computed
-    with all tails truncated, which keeps Mora division from chasing
-    degrees upward.  Once two caps D < D' give the same quotient
-    dimension, Nakayama's lemma yields m^D inside I, so the capped result
-    is exactly the answer for I.  Ideals where no cap stabilizes (e.g.
-    non-isolated singularities) fall back to the uncapped computation.
+    For a rising schedule of caps D, the standard basis of I + m^D is
+    computed modulo m^D by truncation alone (no generators for m^D, see
+    :func:`standard_basis`).  When the staircase of I + m^D has no
+    monomial of degree D-1, every monomial of degree D-1 lies in the
+    leading ideal.  Then I + m^(D-1) and its subideal I + m^D have the
+    same leading ideal, so they are equal: m^(D-1) lies in I + m*m^(D-1),
+    and Nakayama's lemma gives m^(D-1) inside I.  The computed generators
+    are then a standard basis of I itself, and the result is returned at
+    once with cap D-1.  Ideals that no cap certifies (e.g. non-isolated
+    singularities), and orders that do not refine total degree, take the
+    uncapped computation.
     """
     order = order or LocalOrder()
     live = [g for g in gens if not g.is_zero()]
     if not live:
         raise ValueError("standard basis of the zero ideal is not supported here")
-    ctx = live[0].context
-    arity = ctx.arity
-    if arity == 0:
-        sb = standard_basis(live, order)
-        return sb, quotient_basis(sb)
-    prev: tuple[StandardBasis, LocalAlgebra] | None = None
-    for cap in _cap_schedule(arity):
-        cap_gens = [Polynomial.monomial(ctx, m) for m in _monomials_of_degree(arity, cap)]
-        sb = standard_basis(live + cap_gens, order, degree_cap=cap)
-        sb = StandardBasis(
-            generators=sb.generators,
-            order=order,
-            leading_monomials=sb.leading_monomials,
-            inputs=tuple(gens),
-        )
-        alg = quotient_basis(sb)
-        if prev is not None and alg.dimension == prev[1].dimension:
-            return prev
-        prev = (sb, alg)
+    arity = live[0].context.arity
+    if arity > 0 and order.weights is None:
+        for cap in _cap_schedule(arity):
+            sb = standard_basis(live, order, degree_cap=cap)
+            alg = quotient_basis(sb)
+            if all(sum(m) < cap - 1 for m in alg.basis_monomials):
+                return replace(sb, inputs=tuple(gens), degree_cap=cap - 1), alg
     sb = standard_basis(live, order)
     return sb, quotient_basis(sb)
 
@@ -487,7 +489,9 @@ def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     """Monomials outside the leading ideal, or an infinite marker.
 
     The complement is finite iff every variable has a pure power among the
-    leading monomials.
+    leading monomials.  With ``sb.degree_cap`` D every monomial of degree
+    >= D counts as leading (the ideal contains m^D), so the complement is
+    always finite.
     """
     lms = sb.leading_monomials
     if not lms:
@@ -496,15 +500,20 @@ def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     if arity == 0:
         # a leading monomial in zero variables is a unit: quotient is 0
         return LocalAlgebra((), 0)
+    cap = sb.degree_cap
     bounds = []
     for i in range(arity):
         pures = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
+        if cap is not None:
+            pures.append(cap)
         if not pures:
             return LocalAlgebra((), INFINITE)
         bounds.append(min(pures))
     basis = []
     for m in itertools.product(*(range(b) for b in bounds)):
-        if not any(monomial_divides(lm, m) for lm in lms):
+        if (cap is None or sum(m) < cap) and not any(
+            monomial_divides(lm, m) for lm in lms
+        ):
             basis.append(m)
     basis.sort(key=monomial_key)
     return LocalAlgebra(tuple(basis), len(basis))

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from bsing.report import Report
+from bsing.polyring import PowerSeries1, series_rational_power
+from bsing.report import Report, rational_from_json, rational_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +113,15 @@ class TestIsochoreCommand:
         assert res.returncode == 0
         assert "w   = 1, 3/5, 0, 0, 0, 0" in res.stdout
         assert "psi = 0, 1, 2/5, -1/25" in res.stdout
+
+    def test_json_v_is_the_rational_power_of_w(self):
+        res = run_cli("isochore", "--c", "1,2,-1/3", "--n", "2", "--order", "6", "--json")
+        assert res.returncode == 0
+        payload = json.loads(res.stdout)
+        w = PowerSeries1(rational_from_json(x) for x in payload["w"])
+        v = series_rational_power(w, Fraction(2, 4))
+        assert payload["v"] == [rational_to_json(x) for x in v.coefficients]
+        assert payload["psi"] == [rational_to_json(Fraction(0))] + payload["v"]
 
     def test_bad_constant_exit_4(self):
         res = run_cli("isochore", "--c", "2,1", "--n", "1")

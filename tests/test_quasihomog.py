@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsing import CertificateError, quasihomog
 from bsing.boundary import BoundarySingularity
 from bsing.corpus import family_normal_form, quasihomogeneous_corpus
 from bsing.polyring import VarContext, parse_polynomial
@@ -107,6 +108,21 @@ class TestSpectrum:
     def test_cardinality_is_boundary_milnor_number(self):
         for bs, w in quasihomogeneous_corpus(seed=21, count=12):
             assert len(spectrum(bs, w)) == bs.mu_boundary
+
+    def test_staircase_mismatch_raises_certificate_error(self, monkeypatch):
+        # the weighted staircase is cross-checked against the unweighted
+        # boundary quotient; losing a monomial must fail loudly, also
+        # under python -O
+        bs = bsing("x^2+y^3")
+        real = quasihomog.quotient_basis
+
+        def short(sb):
+            alg = real(sb)
+            return type(alg)(alg.basis_monomials[1:], alg.dimension - 1)
+
+        monkeypatch.setattr(quasihomog, "quotient_basis", short)
+        with pytest.raises(CertificateError):
+            spectrum(bs, (F(1, 2), F(1, 3)))
 
 
 class TestOrdinarySpectrum:

@@ -1,7 +1,12 @@
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
-from bsing.polyring import Polynomial, VarContext, parse_polynomial
+import pytest
+
+from bsing.boundary import BoundarySingularity, jacobian_ideal_boundary, milnor_numbers
+from bsing.polyring import Polynomial, VarContext, monomial_divides, parse_polynomial
 from bsing.standard_basis import (
     INFINITE,
     LocalOrder,
@@ -15,6 +20,9 @@ from bsing.standard_basis import (
 )
 
 XY = VarContext(("x", "y"), 0)
+XYZ = VarContext(("x", "y", "z"), 0)
+# the module itself: the package attribute of that name is the function
+sb_module = importlib.import_module("bsing.standard_basis")
 
 
 def poly(s: str, ctx=XY) -> Polynomial:
@@ -40,6 +48,10 @@ class TestLocalOrder:
         order = LocalOrder()
         assert order.key((1, 0)) < order.key((0, 1))
         assert leading_term(poly("x+y"), order) == ((1, 0), 1)
+
+    def test_unweighted_degree_is_an_int(self):
+        degree = LocalOrder().degree((2, 3))
+        assert degree == 5 and type(degree) is int
 
     def test_weighted_degree_dominates(self):
         order = LocalOrder((Fraction(1), Fraction(1, 3)))
@@ -171,6 +183,78 @@ class TestStaircaseQuotient:
         sb, alg = staircase_quotient([poly("x^2")])
         assert alg.dimension == INFINITE
 
+    def test_capped_staircase_equals_uncapped_on_random_ideals(self):
+        rng = random.Random(2024)
+        certified = {2: 0, 3: 0}
+        while min(certified.values()) < 15:
+            arity = rng.choice((2, 3))
+            ctx = XY if arity == 2 else XYZ
+            gens = [
+                g for g in (
+                    random_poly(rng, ctx, max_deg=4 if arity == 2 else 3, terms=3)
+                    for _ in range(arity + rng.randint(0, 1))
+                )
+                if not g.is_zero()
+            ]
+            if not gens:
+                continue
+            sb_fast, alg_fast = staircase_quotient(gens)
+            if sb_fast.degree_cap is None:
+                continue  # no cap certified: this was the uncapped path itself
+            alg_slow = quotient_basis(standard_basis(gens))
+            assert alg_fast.basis_monomials == alg_slow.basis_monomials, [
+                str(g) for g in gens
+            ]
+            certified[arity] += 1
+
+    def test_certified_basis_spans_the_cap_degree(self):
+        # J_(f,H) of x^4+y^5+z^6 is (x^4, y^4, z^5): its staircase reaches
+        # degree 3+3+4 = 10, so cap 12 is the first to certify m^11
+        gens = jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ))
+        sb, alg = staircase_quotient(gens)
+        assert sb.degree_cap == 11 and alg.dimension == 80
+        for m in itertools.product(range(12), repeat=3):
+            if sum(m) == 11:
+                assert any(monomial_divides(lm, m) for lm in sb.leading_monomials), m
+
+    def test_cap_ladder_call_count(self, monkeypatch):
+        calls = []
+        real = sb_module.standard_basis
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("degree_cap"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sb_module, "standard_basis", counting)
+        staircase_quotient(jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ)))
+        assert calls == [4, 6, 8, 10, 12]
+
+    def test_uncertified_cap_describes_ideal_plus_cap_power(self):
+        # modulo m^4 the ideal (x^4, y^4, z^5) is all of m^4 although no
+        # leading monomial divides z^4
+        gens = jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ))
+        sb = standard_basis(gens, degree_cap=4)
+        z4 = poly("z^4", XYZ)
+        assert not any(monomial_divides(lm, (0, 0, 4)) for lm in sb.leading_monomials)
+        assert sb.contains(z4)
+        assert not standard_basis(gens).contains(z4)
+        assert quotient_basis(sb).dimension == 20  # monomials of degree < 4
+
+    def test_weighted_order_takes_the_uncapped_path(self):
+        # truncation by total degree is not compatible with a weighted order
+        gens = [poly("x^3 - y^4"), poly("x*y^2 + x^4")]
+        order = LocalOrder((Fraction(1, 3), Fraction(1, 4)))
+        sb, alg = staircase_quotient(gens, order)
+        assert sb.degree_cap is None
+        assert alg == quotient_basis(standard_basis(gens, order))
+        with pytest.raises(ValueError):
+            standard_basis(gens, order, degree_cap=8)
+
+    def test_non_isolated_boundary_germ(self):
+        f = poly("y^2*z^2+x^3", XYZ)
+        bs = BoundarySingularity(f, allow_non_isolated=True)
+        assert milnor_numbers(bs) == (INFINITE, INFINITE, INFINITE)
+
 
 class TestJetOracle:
     def test_f4_cross_check(self):
@@ -199,6 +283,36 @@ class TestJetOracle:
                 continue
             assert sb.contains(p) == jet_membership_oracle(p, gens, 18)
             checked += 1
+
+    def test_high_degree_membership_under_the_certified_cap(self):
+        # a (7,9)-type germ: its staircase reaches degree 13 and cap 16
+        # certifies m^15; multipliers of degree up to 10 take the members
+        # past the cap, where contains truncates
+        gens = jacobian_ideal_boundary(poly("-2*x^7 - 2*x^5*y^3 - 3*y^9 - x^6*y^4"))
+        sb, alg = staircase_quotient(gens)
+        assert sb.degree_cap == 15 and alg.dimension == 56
+        uncapped = standard_basis(gens)
+        rng = random.Random(79)
+
+        def multiplier():
+            return Polynomial(XY, {
+                (a, rng.randint(0, 10 - a)): Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                for a in rng.sample(range(11), rng.randint(1, 3))
+            })
+
+        multipliers = [[poly("x^7*y^2"), poly("3*x*y^5 + 2*x^3*y^4")]]
+        multipliers += [[multiplier() for _ in gens] for _ in range(5)]
+        members = [
+            sum((a * g for a, g in zip(mults, gens)), Polynomial.zero(XY))
+            for mults in multipliers
+        ]
+        assert min(p.total_degree() for p in members) > sb.degree_cap
+        for member in members:
+            box = Polynomial.monomial(XY, (rng.randrange(7), rng.randrange(8)), 1)
+            for p, want in ((member, True), (member + box, False)):
+                assert sb.contains(p) == want
+                assert uncapped.contains(p) == want
+                assert jet_membership_oracle(p, gens, 20) == want
 
     def test_dimension_agreement_on_random_ideals(self):
         rng = random.Random(37)
