@@ -6,9 +6,7 @@ input, 3 non-quasihomogeneous input, 4 invalid series input.
 
 Everything is printed as exact rationals (p/q in text, {"num","den"} in
 JSON); output is deterministic, so the table command is suitable for
-golden-file comparison.  --seed selects the seed for the reproducible
-random corpora in :mod:`bsing.corpus` (used by the test suite; the
-commands here are deterministic and ignore it).
+golden-file comparison.
 """
 
 from __future__ import annotations
@@ -290,8 +288,6 @@ def build_parser() -> _Parser:
     shared.add_argument("--vars", default="x,y", help="comma-separated variables")
     shared.add_argument("--boundary", default="x", help="boundary variable")
     shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED,
-                        help="seed for the reproducible test corpora")
     shared.add_argument("--out", default=None, help="write output to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)

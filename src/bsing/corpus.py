@@ -4,7 +4,7 @@ Two generators: arbitrary germs with finite boundary Milnor number (for
 the additivity / oracle cross-checks) and quasihomogeneous germs built
 from diagonal forms plus compatible mixed monomials (for the spectrum,
 splitting and reduction laws).  Everything is driven by a seed so runs
-are reproducible; the CLI forwards its --seed flag here.
+are reproducible.
 """
 
 from __future__ import annotations

@@ -235,8 +235,15 @@ def render_milnor(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_spectrum(report: Report) -> None:
+    if report.weights is None or report.spectrum_rows is None:
+        raise ValueError(
+            "report has no weights or spectrum rows; build it with a spectrum"
+        )
+
+
 def render_spectrum(report: Report) -> str:
-    assert report.spectrum_rows is not None and report.weights is not None
+    _require_spectrum(report)
     head = [
         f"f = {report.f_text}",
         f"boundary: {report.boundary}",
@@ -265,7 +272,7 @@ def render_spectrum(report: Report) -> str:
 
 
 def render_table_row(report: Report, k: int | None = None) -> str:
-    assert report.weights is not None and report.spectrum_rows is not None
+    _require_spectrum(report)
     spectrum_text = ", ".join(str(r.alpha) for r in report.spectrum_rows)
     prefix = f"k={k}  " if k is not None else ""
     return (

@@ -22,11 +22,10 @@ Milnor-number layer needs.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .polyring import (
     Monomial,
@@ -454,9 +453,13 @@ def staircase_quotient(
     same leading ideal, so they are equal: m^(D-1) lies in I + m*m^(D-1),
     and Nakayama's lemma gives m^(D-1) inside I.  The computed generators
     are then a standard basis of I itself, and the result is returned at
-    once with cap D-1.  Ideals that no cap certifies (e.g. non-isolated
-    singularities), and orders that do not refine total degree, take the
-    uncapped computation.
+    once with cap D-1.
+
+    A cap that fails is rejected as soon as the staircase enumeration
+    reaches its first standard monomial of degree D-1; only the certified
+    cap, and the uncapped path, build and sort the :class:`LocalAlgebra`.
+    Ideals that no cap certifies (e.g. non-isolated singularities), and
+    orders that do not refine total degree, take the uncapped computation.
     """
     order = order or LocalOrder()
     live = [g for g in gens if not g.is_zero()]
@@ -466,9 +469,9 @@ def staircase_quotient(
     if arity > 0 and order.weights is None:
         for cap in _cap_schedule(arity):
             sb = standard_basis(live, order, degree_cap=cap)
-            alg = quotient_basis(sb)
-            if all(sum(m) < cap - 1 for m in alg.basis_monomials):
-                return replace(sb, inputs=tuple(gens), degree_cap=cap - 1), alg
+            if not any(sum(m) == cap - 1 for m in _staircase(sb)):
+                sb = replace(sb, inputs=tuple(gens), degree_cap=cap - 1)
+                return sb, quotient_basis(sb)
     sb = standard_basis(live, order)
     return sb, quotient_basis(sb)
 
@@ -485,37 +488,71 @@ class LocalAlgebra:
         return self.dimension != INFINITE
 
 
-def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
-    """Monomials outside the leading ideal, or an infinite marker.
+def _staircase(sb: StandardBasis) -> Iterator[Monomial] | None:
+    """The standard monomials of ``sb`` (outside its leading ideal, and of
+    degree below ``sb.degree_cap`` when set); ``None`` when there are
+    infinitely many, i.e. with no cap some variable has no pure power among
+    the leading monomials.
 
-    The complement is finite iff every variable has a pure power among the
-    leading monomials.  With ``sb.degree_cap`` D every monomial of degree
-    >= D counts as leading (the ideal contains m^D), so the complement is
-    always finite.
+    The walk fixes one exponent at a time.  At depth i it keeps the leading
+    monomials that divide the prefix in the first i variables; the exponent
+    of variable i stops rising once one of them, with zeros in every later
+    variable, divides the prefix, or once the prefix uses up the degree
+    budget.  Every branch that is entered holds a standard monomial (its
+    prefix padded with zeros), so the work is proportional to the output.
+    Prefixes come in lexicographic order and the last exponent falls, so
+    each branch yields its monomial of highest degree first; callers that
+    need an order sort.
     """
     lms = sb.leading_monomials
     if not lms:
-        return LocalAlgebra((), INFINITE)
+        return None
     arity = len(lms[0])
-    if arity == 0:
-        # a leading monomial in zero variables is a unit: quotient is 0
-        return LocalAlgebra((), 0)
-    cap = sb.degree_cap
-    bounds = []
-    for i in range(arity):
-        pures = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
-        if cap is not None:
-            pures.append(cap)
-        if not pures:
-            return LocalAlgebra((), INFINITE)
-        bounds.append(min(pures))
-    basis = []
-    for m in itertools.product(*(range(b) for b in bounds)):
-        if (cap is None or sum(m) < cap) and not any(
-            monomial_divides(lm, m) for lm in lms
-        ):
-            basis.append(m)
-    basis.sort(key=monomial_key)
+    # each leading monomial with the index of its last nonzero exponent
+    tagged = [(lm, max((i for i, e in enumerate(lm) if e), default=-1)) for lm in lms]
+    if any(last < 0 for _, last in tagged):
+        return iter(())  # 1 is leading: the quotient is zero
+    if sb.degree_cap is not None:
+        budget = sb.degree_cap - 1
+    else:
+        pures = [[lm[i] for lm, last in tagged if last == i and not any(lm[:i])]
+                 for i in range(arity)]
+        if not all(pures):
+            return None
+        # a standard monomial stays below every pure power
+        budget = sum(min(p) - 1 for p in pures)
+
+    def walk(i: int, prefix: Monomial, active: list, budget: int):
+        stop = min((lm[i] for lm, last in active if last <= i), default=budget + 1)
+        top = min(stop, budget + 1)
+        if i == arity - 1:
+            # highest exponent first: a branch's top-degree monomial leads
+            for e in range(top - 1, -1, -1):
+                yield prefix + (e,)
+            return
+        for e in range(top):
+            yield from walk(
+                i + 1, prefix + (e,), [t for t in active if t[0][i] <= e], budget - e
+            )
+
+    return walk(0, (), tagged, budget)
+
+
+def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
+    """Monomials outside the leading ideal, or an infinite marker.
+
+    The standard monomials come from :func:`_staircase`, whose work is
+    proportional to their number, sorted by
+    :func:`bsing.polyring.monomial_key`.  The complement is
+    finite iff every variable has a pure power among the leading
+    monomials.  With ``sb.degree_cap`` D every monomial of degree >= D
+    counts as leading (the ideal contains m^D), so the complement is
+    always finite.
+    """
+    monomials = _staircase(sb)
+    if monomials is None:
+        return LocalAlgebra((), INFINITE)
+    basis = sorted(monomials, key=monomial_key)
     return LocalAlgebra(tuple(basis), len(basis))
 
 

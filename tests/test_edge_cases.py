@@ -18,7 +18,7 @@ from bsing.quasihomog import (
     spectrum,
     spectrum_splitting_check,
 )
-from bsing.report import Report
+from bsing.report import Report, build_report, render_spectrum, render_table_row
 from bsing.standard_basis import (
     LocalOrder,
     jet_dimension_oracle,
@@ -102,12 +102,20 @@ class TestMilnorReportRoundTrip:
     def test_infinite_marker_survives_json(self):
         ctx = VarContext(("x", "y"), 0)
         bs = BoundarySingularity(parse_polynomial("x", ctx), allow_non_isolated=True)
-        from bsing.report import build_report
-
         report = build_report("x", bs)
         again = Report.from_json(report.to_json())
         assert again == report
         assert again.mu_boundary == float("inf")
+
+    def test_spectrum_renderers_reject_a_milnor_only_report(self):
+        ctx = VarContext(("x", "y"), 0)
+        bs = BoundarySingularity(parse_polynomial("x^2+y^3", ctx))
+        report = build_report("x^2+y^3", bs)
+        assert report.weights is None and report.spectrum_rows is None
+        with pytest.raises(ValueError, match="spectrum"):
+            render_spectrum(report)
+        with pytest.raises(ValueError, match="spectrum"):
+            render_table_row(report, 1)
 
 
 class TestVersalityExplicitWeights:

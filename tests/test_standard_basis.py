@@ -6,10 +6,17 @@ from fractions import Fraction
 import pytest
 
 from bsing.boundary import BoundarySingularity, jacobian_ideal_boundary, milnor_numbers
-from bsing.polyring import Polynomial, VarContext, monomial_divides, parse_polynomial
+from bsing.polyring import (
+    Polynomial,
+    VarContext,
+    monomial_divides,
+    monomial_key,
+    parse_polynomial,
+)
 from bsing.standard_basis import (
     INFINITE,
     LocalOrder,
+    StandardBasis,
     jet_dimension_oracle,
     jet_membership_oracle,
     leading_term,
@@ -169,6 +176,48 @@ class TestQuotientBasis:
         assert alg.dimension == INFINITE
         assert not alg.is_finite
 
+    @staticmethod
+    def box_staircase(lms, cap):
+        """Reference: scan the box of pure-power (or cap) bounds and keep
+        what lies below the cap and no leading monomial divides."""
+        bounds = []
+        for i in range(len(lms[0])):
+            pures = [m[i] for m in lms if not any(e for j, e in enumerate(m) if j != i)]
+            if cap is not None:
+                pures.append(cap)
+            if not pures:
+                return None
+            bounds.append(min(pures))
+        return sorted(
+            (
+                m for m in itertools.product(*(range(b) for b in bounds))
+                if (cap is None or sum(m) < cap)
+                and not any(monomial_divides(lm, m) for lm in lms)
+            ),
+            key=monomial_key,
+        )
+
+    def test_agrees_with_the_box_scan(self):
+        rng = random.Random(41)
+        seen = {"infinite": 0, "finite": 0, "capped": 0}
+        for _ in range(600):
+            arity = rng.randint(1, 3)
+            lms = tuple({
+                tuple(rng.randint(0, 5) for _ in range(arity))
+                for _ in range(rng.randint(1, 5))
+            })
+            cap = rng.choice((None, None, rng.randint(1, 10)))
+            sb = StandardBasis((), LocalOrder(), lms, degree_cap=cap)
+            alg, want = quotient_basis(sb), self.box_staircase(lms, cap)
+            if want is None:
+                assert alg.dimension == INFINITE and alg.basis_monomials == (), lms
+                seen["infinite"] += 1
+                continue
+            assert alg.basis_monomials == tuple(want), (lms, cap)
+            assert alg.dimension == len(want)
+            seen["capped" if cap is not None else "finite"] += 1
+        assert min(seen.values()) >= 50, seen
+
 
 class TestStaircaseQuotient:
     def test_certified_cap_agrees_with_uncapped(self):
@@ -251,9 +300,14 @@ class TestStaircaseQuotient:
             standard_basis(gens, order, degree_cap=8)
 
     def test_non_isolated_boundary_germ(self):
-        f = poly("y^2*z^2+x^3", XYZ)
-        bs = BoundarySingularity(f, allow_non_isolated=True)
-        assert milnor_numbers(bs) == (INFINITE, INFINITE, INFINITE)
+        # every cap of the ladder fails, each at its first top-degree
+        # monomial, before the uncapped path reports the infinite quotients
+        germs = ["x^2*y^2", "x^2*y^3", "x^3*y^2", "x*y^3", "x^3*y^3", "x^2*y^4",
+                 "x^4*y^2", "x^4*y^4"]
+        cases = [poly(f) for f in germs] + [poly("y^2*z^2+x^3", XYZ)]
+        for f in cases:
+            bs = BoundarySingularity(f, allow_non_isolated=True)
+            assert milnor_numbers(bs) == (INFINITE, INFINITE, INFINITE), str(f)
 
 
 class TestJetOracle:
