@@ -12,10 +12,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .boundary import BoundarySingularity, InvalidGermError, NonIsolatedError
+from .boundary import (
+    BoundarySingularity,
+    InvalidGermError,
+    NonIsolatedError,
+    jacobian_ideal_boundary,
+)
 from .polyring import Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
-from .standard_basis import INFINITE
+from .standard_basis import INFINITE, LocalOrder, _certified_quotient
 
 DEFAULT_SEED = 20240
 
@@ -52,23 +57,28 @@ def boundary_corpus(
 ) -> list[BoundarySingularity]:
     """``count`` germs in 2 or 3 variables with finite mu_{f,H} <= max_mu.
 
-    Candidates are screened with the cheap jet oracle first (degenerate
-    germs are the norm among random polynomials and make the standard
-    basis needlessly expensive); survivors get the exact construction.
+    Candidates are screened first (degenerate germs are the norm among
+    random polynomials and make the exact construction walk its whole cap
+    ladder): one standard basis of the boundary Jacobian ideal modulo m^9
+    must certify m^8 inside the ideal, and its staircase size is then
+    mu_{f,H}.  Survivors get the exact construction.  A few mu = 0 germs
+    are admitted, so ``max_mu`` must be at least 1.
     """
-    from .boundary import jacobian_ideal_boundary
-    from .standard_basis import jet_dimension_oracle
-
+    if max_mu < 1:
+        raise ValueError("max_mu must be >= 1: the mu = 0 germs are rationed")
     rng = random.Random(seed)
     out: list[BoundarySingularity] = []
     trivial_quota = max(2, count // 10)  # a few mu = 0 germs, not a flood
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
         f = random_germ(rng, arity, max_degree=max_degree)
-        screen = jet_dimension_oracle(jacobian_ideal_boundary(f), 9)
-        if screen == INFINITE or screen > max_mu:
+        certified = _certified_quotient(jacobian_ideal_boundary(f), LocalOrder(), 9)
+        if certified is None:
             continue
-        if screen == 0:
+        mu = certified[1].dimension
+        if mu > max_mu:
+            continue
+        if mu == 0:
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1

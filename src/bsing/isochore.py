@@ -38,6 +38,7 @@ from .polyring import (
     series_rational_power,
 )
 from .quasihomog import _GradedStructure
+from .standard_basis import _row_echelon
 
 
 def isochore_psi(c: PowerSeries1, n: int) -> tuple[PowerSeries1, PowerSeries1]:
@@ -164,25 +165,8 @@ def versality_check(
         if coords:
             rows.append(coords)
 
-    # row echelon over Q; pivot columns are the covered directions
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                piv = pivots[lead]
-                factor = row[lead]
-                for colk, val in piv.items():
-                    nv = row.get(colk, Fraction(0)) - factor * val
-                    if nv == 0:
-                        row.pop(colk, None)
-                    else:
-                        row[colk] = nv
-            else:
-                inv = 1 / row[lead]
-                pivots[lead] = {ck: cv * inv for ck, cv in row.items()}
-                break
+    # pivot columns are the covered directions
+    pivots = _row_echelon(rows)
     spanned = len(pivots)
     missing = tuple(m for m in columns if col_index[m] not in pivots)
     return VersalityReport(

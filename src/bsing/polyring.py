@@ -313,7 +313,7 @@ class Polynomial:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^()]))"
+    r"|(?P<op>[-+*^]))"
 )
 
 

@@ -468,11 +468,26 @@ def staircase_quotient(
     arity = live[0].context.arity
     if arity > 0 and order.weights is None:
         for cap in _cap_schedule(arity):
-            sb = standard_basis(live, order, degree_cap=cap)
-            if not any(sum(m) == cap - 1 for m in _staircase(sb)):
-                sb = replace(sb, inputs=tuple(gens), degree_cap=cap - 1)
-                return sb, quotient_basis(sb)
+            certified = _certified_quotient(live, order, cap)
+            if certified is not None:
+                sb, algebra = certified
+                return replace(sb, inputs=tuple(gens)), algebra
     sb = standard_basis(live, order)
+    return sb, quotient_basis(sb)
+
+
+def _certified_quotient(
+    gens: Sequence[Polynomial], order: LocalOrder, cap: int
+) -> tuple[StandardBasis, "LocalAlgebra"] | None:
+    """One cap of :func:`staircase_quotient`: the standard basis of
+    (gens) + m^cap modulo m^cap, recorded with cap-1, and its quotient when
+    its staircase has no monomial of degree cap-1, i.e. exactly when
+    m^(cap-1) lies in the ideal; ``None`` otherwise.  Unweighted orders
+    only."""
+    sb = standard_basis(gens, order, degree_cap=cap)
+    if any(sum(m) == cap - 1 for m in _staircase(sb)):
+        return None
+    sb = replace(sb, degree_cap=cap - 1)
     return sb, quotient_basis(sb)
 
 
@@ -571,10 +586,18 @@ def _monomials_below(arity: int, degree: int) -> list[Monomial]:
     return sorted(out, key=monomial_key)
 
 
-def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
-    """Rank over Q of sparse rows, by incremental elimination."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
+def _row_echelon(
+    rows: list[dict[int, Fraction]],
+    pivots: dict[int, dict[int, Fraction]] | None = None,
+) -> dict[int, dict[int, Fraction]]:
+    """Exact incremental row echelon over Q of sparse rows.
+
+    Each row is reduced by the pivot rows (normalized to leading entry 1)
+    and, unless it vanishes, becomes the pivot of its smallest column.
+    ``pivots`` (a fresh dict by default) is extended in place and returned;
+    the rank is its length and its keys are the pivot columns."""
+    if pivots is None:
+        pivots = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -591,9 +614,8 @@ def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
             else:
                 inv = 1 / row[lead]
                 pivots[lead] = {c: v * inv for c, v in row.items()}
-                rank += 1
                 break
-    return rank
+    return pivots
 
 
 def _jet_rows(
@@ -616,6 +638,27 @@ def _jet_rows(
     return rows
 
 
+def _stable_jet(
+    gens: Sequence[Polynomial], max_jet: int
+) -> tuple[int, list[Monomial], dict[int, dict[int, Fraction]]] | None:
+    """For N = 2, 3, ..., max_jet: the echelon of all generator multiples
+    truncated below total degree N, inside the space of monomials of
+    degree < N.  Returns ``(N, monomials, pivots)`` at the first N whose
+    codimension equals that of N-1 (then m^(N-1) lies in I + m^N, so by
+    Nakayama in the ideal, and the codimension is the quotient dimension),
+    or ``None`` if none up to ``max_jet`` does."""
+    arity = gens[0].context.arity
+    prev = None
+    for N in range(2, max_jet + 1):
+        monos = _monomials_below(arity, N)
+        pivots = _row_echelon(_jet_rows(gens, monos, N))
+        codim = len(monos) - len(pivots)
+        if codim == prev:
+            return N, monos, pivots
+        prev = codim
+    return None
+
+
 def jet_dimension_oracle(
     gens: Sequence[Polynomial], max_jet: int = 16
 ) -> int | float:
@@ -632,17 +675,13 @@ def jet_dimension_oracle(
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return INFINITE
-    arity = gens[0].context.arity
-    if arity == 0:
+    if gens[0].context.arity == 0:
         return 0  # a nonzero constant generates everything
-    prev = None
-    for N in range(2, max_jet + 1):
-        monos = _monomials_below(arity, N)
-        codim = len(monos) - _rank_of_rows(_jet_rows(gens, monos, N))
-        if prev is not None and codim == prev:
-            return codim
-        prev = codim
-    return INFINITE
+    stable = _stable_jet(gens, max_jet)
+    if stable is None:
+        return INFINITE
+    _, monos, pivots = stable
+    return len(monos) - len(pivots)
 
 
 def jet_membership_oracle(
@@ -656,18 +695,10 @@ def jet_membership_oracle(
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return p.is_zero()
-    arity = gens[0].context.arity
-    prev = None
-    for N in range(2, max_jet + 1):
-        monos = _monomials_below(arity, N)
-        rows = _jet_rows(gens, monos, N)
-        base_rank = _rank_of_rows(rows)
-        codim = len(monos) - base_rank
-        if prev is not None and codim == prev:
-            index = {m: i for i, m in enumerate(monos)}
-            p_row = {
-                index[m]: c for m, c in p._terms.items() if sum(m) < N and c != 0
-            }
-            return _rank_of_rows(rows + [p_row]) == base_rank
-        prev = codim
-    raise ValueError("jet oracle did not stabilize; raise max_jet")
+    stable = _stable_jet(gens, max_jet)
+    if stable is None:
+        raise ValueError("jet oracle did not stabilize; raise max_jet")
+    N, monos, pivots = stable
+    index = {m: i for i, m in enumerate(monos)}
+    p_row = {index[m]: c for m, c in p._terms.items() if sum(m) < N and c != 0}
+    return len(_row_echelon([p_row], dict(pivots))) == len(pivots)

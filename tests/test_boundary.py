@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,15 @@ from bsing.boundary import (
     milnor_numbers,
     restrict_to_boundary,
 )
-from bsing.corpus import boundary_corpus
+from bsing.corpus import boundary_corpus, random_germ
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
-from bsing.standard_basis import INFINITE, jet_dimension_oracle
+from bsing.standard_basis import (
+    INFINITE,
+    LocalOrder,
+    _certified_quotient,
+    jet_dimension_oracle,
+    staircase_quotient,
+)
 
 XY = VarContext(("x", "y"), 0)
 XYZ = VarContext(("x", "y", "z"), 0)
@@ -143,3 +150,55 @@ class TestCorpusProperties:
                 images.append(img)
             g = bs.f.substitute(images)
             assert milnor_numbers(BoundarySingularity(g)) == milnor_numbers(bs)
+
+
+class TestCorpusScreen:
+    def test_cap9_certificate_matches_the_jet_oracle(self):
+        # the corpus screen: one standard basis modulo m^9 that certifies
+        # m^8 inside the boundary Jacobian ideal, against the jet oracle
+        # stabilizing by N = 9
+        rng = random.Random(4)
+        candidates = [random_germ(rng, 2 if i % 3 else 3) for i in range(1000)]
+        # finite mu_{f,H} above 40 lies beyond m^8: both must refuse it
+        beyond = [poly("x^6+y^9"), poly("x*y+y^42"), poly("x^3+y^4+z^6", XYZ)]
+        for f in beyond:
+            assert staircase_quotient(jacobian_ideal_boundary(f))[1].dimension > 40
+        kinds = Counter()
+        for f in candidates + beyond:
+            gens = jacobian_ideal_boundary(f)
+            certified = _certified_quotient(gens, LocalOrder(), 9)
+            screen = INFINITE if certified is None else certified[1].dimension
+            assert screen == jet_dimension_oracle(gens, 9), str(f)
+            if certified is not None:
+                sb, algebra = certified
+                assert sb.degree_cap == 8
+                assert all(sum(m) < 8 for m in algebra.basis_monomials)
+            kinds["refused" if screen == INFINITE else "zero" if screen == 0 else "finite"] += 1
+        assert min(kinds["refused"], kinds["zero"], kinds["finite"]) >= 100, kinds
+
+    def test_seeded_corpus_is_pinned(self):
+        # germs and (mu_f, mu_{f|H}, mu_{f,H}) as the jet-oracle screen chose them
+        want = [
+            ("-2*x*y + y^2 - x^4 - x*y^5", XY, (1, 1, 2)),
+            ("2*x + 3*x^3 - 3*x^4 - 3*y^5 - 3*x^3*y^3", XY, (0, 4, 4)),
+            ("3*y + x*y + x^3*y + 3*x^2*y^2 + 3*x^4*y^2", XY, (0, 0, 0)),
+            ("-2*y^2 + 3*x^2*y + 3*x*y^2 + x^2*y^2 + y^5", XY, (3, 1, 4)),
+            ("-3*z + 3*x*y - 2*x*y^2*z^2", XYZ, (0, 0, 0)),
+            ("6*x^4*y - y^5", XY, (16, 4, 20)),
+            ("-3*y*z + x^3 + 3*z^3 - 3*x*z^4 + 2*x*y^2*z^3", XYZ, (2, 1, 3)),
+            ("-3*x*y + y^4", XY, (1, 3, 4)),
+            ("-x^4 + 2*x^2*y^2 + x^2*y^3 + 2*y^5", XY, (10, 4, 14)),
+            ("x^2 + 2*x*y^3 + y^5 - x^2*y^4 - 3*x*y^5", XY, (4, 4, 8)),
+            ("3*x*y - y^3 - x^3*y^2 - 3*x*y^4", XY, (1, 2, 3)),
+            ("2*y^2 + y^4 + 3*x^5 + 2*x*y^4 + x^3*y^3", XY, (4, 1, 5)),
+        ]
+        got = [(bs.f, milnor_numbers(bs)) for bs in boundary_corpus(seed=77, count=12)]
+        assert got == [(poly(f, ctx), mus) for f, ctx, mus in want]
+
+    def test_max_mu_below_one_is_rejected(self):
+        # only mu = 0 germs would qualify, and those are rationed
+        with pytest.raises(ValueError, match="max_mu"):
+            boundary_corpus(seed=1, count=5, max_mu=0)
+        corpus = boundary_corpus(seed=1, count=5, max_mu=1)
+        assert [milnor_numbers(bs)[2] for bs in corpus].count(0) <= 2
+        assert all(milnor_numbers(bs)[2] <= 1 for bs in corpus)

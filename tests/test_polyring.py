@@ -60,6 +60,12 @@ class TestParsing:
             poly("x + + y")
         assert "position" in str(err.value)
 
+    def test_parentheses_rejected_at_their_position(self):
+        for text, at in (("(x+y)", 0), ("x*(y)", 2), ("x)", 1), ("2(x)", 1)):
+            with pytest.raises(ParseError) as err:
+                poly(text)
+            assert err.value.position == at, text
+
     def test_dangling_operator(self):
         with pytest.raises(ParseError):
             poly("x +")
