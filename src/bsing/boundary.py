@@ -78,8 +78,10 @@ class BoundarySingularity:
     """A germ f with a marked boundary hyperplane, with its standard bases
     and local algebras computed eagerly.
 
-    Immutable after construction; rejects non-isolated input (infinite
-    boundary Milnor number) unless ``allow_non_isolated`` is set.
+    Immutable after construction, apart from the cache of graded engines
+    that the quasihomogeneous computations fill per weight vector; rejects
+    non-isolated input (infinite boundary Milnor number) unless
+    ``allow_non_isolated`` is set.
     """
 
     def __init__(self, f: Polynomial, allow_non_isolated: bool = False):
@@ -120,6 +122,7 @@ class BoundarySingularity:
                 "boundary Milnor number is infinite; "
                 "pass allow_non_isolated=True to inspect anyway"
             )
+        self._graded_engines: dict = {}
 
     @cached_property
     def mu_ambient(self) -> int | float:

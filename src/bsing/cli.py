@@ -249,8 +249,8 @@ def cmd_reduce(args) -> int:
     g = parse_polynomial(args.g, ctx)
     bs = BoundarySingularity(f)
     w = detect_weights(f)
-    spec = spectrum(bs, w)
     cls = brieskorn_reduce(g, bs, w)
+    spec = spectrum(bs, w)  # the staircase of the tracked basis above
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,

@@ -33,11 +33,10 @@ from .polyring import (
     SeriesError,
     VarContext,
     monomial_key,
-    quasihomogeneous_components,
     series_integrate_monomial_weighted,
     series_rational_power,
 )
-from .quasihomog import _GradedStructure
+from .quasihomog import _engine, detect_weights
 from .standard_basis import _row_echelon
 
 
@@ -144,26 +143,14 @@ def versality_check(
     staircase directions otherwise.  Non-quasihomogeneous bases are
     rejected (detect_weights raises).
     """
-    from .quasihomog import detect_weights
-
     w = weights if weights is not None else detect_weights(d.base.f)
-    st = _GradedStructure(d.base, w)
-    columns = sorted(st.basis, key=monomial_key)
-    col_index = {m: i for i, m in enumerate(columns)}
-
+    st = _engine(d.base, w)
     candidates = [Polynomial.constant(d.base.ctx, 1)] + d.velocities()
-    rows: list[dict[int, Fraction]] = []
-    for g in candidates:
-        if g.is_zero():
-            continue
-        coords: dict[int, Fraction] = {}
-        for _, part in quasihomogeneous_components(g, st.w):
-            rem, _ = st.graded_decompose(part)
-            for m, c in rem.items():
-                coords[col_index[m]] = coords.get(col_index[m], Fraction(0)) + c
-        coords = {k: v for k, v in coords.items() if v != 0}
-        if coords:
-            rows.append(coords)
+    # coordinates() builds the tracked basis, which also fixes the staircase
+    coords = [st.coordinates(g) for g in candidates]
+    columns = sorted((e.monomial for e in st.spectrum().entries), key=monomial_key)
+    col_index = {m: i for i, m in enumerate(columns)}
+    rows = [{col_index[m]: c for m, c in cs.items()} for cs in coords if cs]
 
     # pivot columns are the covered directions
     pivots = _row_echelon(rows)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boundary import BoundarySingularity, NonIsolatedError, jacobian_ideal, jacobian_ideal_boundary
+from .boundary import BoundarySingularity, NonIsolatedError, jacobian_ideal
 from .polyring import (
     Monomial,
     Polynomial,
@@ -45,11 +45,13 @@ from .polyring import (
     check_weights,
     monomial_divides,
     monomial_key,
+    monomial_weighted_degree,
     quasihomogeneous_components,
     weighted_degree,
 )
 from .standard_basis import (
     INFINITE,
+    LocalAlgebra,
     LocalOrder,
     leading_term,
     quotient_basis,
@@ -204,14 +206,9 @@ def _alpha(m: Monomial, w: tuple[Fraction, ...]) -> Fraction:
     return sum((wi * (e + 1) for wi, e in zip(w, m)), Fraction(0))
 
 
-def _staircase_spectrum(
-    gens: list[Polynomial], w: tuple[Fraction, ...], names: tuple[str, ...]
+def _spectrum_of(
+    alg: LocalAlgebra, w: tuple[Fraction, ...], names: tuple[str, ...]
 ) -> Spectrum:
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        raise NonIsolatedError("zero Jacobian ideal")
-    sb = standard_basis(live, LocalOrder(w))
-    alg = quotient_basis(sb)
     if alg.dimension == INFINITE:
         raise NonIsolatedError("staircase complement is infinite")
     entries = sorted(
@@ -223,21 +220,15 @@ def _staircase_spectrum(
 
 def spectrum(bs: BoundarySingularity, weights: Sequence[Rat]) -> Spectrum:
     """Spectrum of the boundary singularity over the staircase basis of
-    its boundary Jacobian quotient."""
-    w = check_weights(weights, bs.ctx.arity)
-    if not euler_check(bs.f, w):
-        raise NotQuasihomogeneousError(
-            "requires quasihomogeneous f (Euler identity fails for these weights)"
-        )
+    its boundary Jacobian quotient.
+
+    The staircase comes from the germ's cached graded engine, which checks
+    it against mu_{f,H} when it is first built; on a fresh engine this
+    builds only an untracked weighted standard basis."""
+    st = _engine(bs, weights)
     if bs.mu_boundary == INFINITE:
         raise NonIsolatedError("boundary Milnor number is infinite")
-    spec = _staircase_spectrum(jacobian_ideal_boundary(bs.f), w, bs.ctx.names)
-    if len(spec) != bs.mu_boundary:
-        raise CertificateError(
-            f"weighted staircase has {len(spec)} monomials, "
-            f"unweighted boundary quotient has {bs.mu_boundary}"
-        )
-    return spec
+    return st.spectrum()
 
 
 def ordinary_spectrum(g: Polynomial, weights: Sequence[Rat]) -> Spectrum:
@@ -250,7 +241,11 @@ def ordinary_spectrum(g: Polynomial, weights: Sequence[Rat]) -> Spectrum:
         raise NotQuasihomogeneousError(
             "requires quasihomogeneous germ (Euler identity fails)"
         )
-    return _staircase_spectrum(jacobian_ideal(g), w, g.context.names)
+    live = [p for p in jacobian_ideal(g) if not p.is_zero()]
+    if not live:
+        raise NonIsolatedError("zero Jacobian ideal")
+    alg = quotient_basis(standard_basis(live, LocalOrder(w)))
+    return _spectrum_of(alg, w, g.context.names)
 
 
 def spectrum_splitting_check(
@@ -372,68 +367,89 @@ def format_t_polynomial(powers: dict[int, Fraction]) -> str:
     return text
 
 
+# One reducer of a tracked basis: leading monomial, leading coefficient,
+# the basis element g, and its weighted-homogeneous representation (r_j)
+# in the canonical Jacobian generators, g == sum_j r_j * jac[j].
+_Reducer = tuple[Monomial, Fraction, Polynomial, tuple[Polynomial, ...]]
+
+
 class _GradedStructure:
-    """Shared machinery for one quasihomogeneous boundary singularity:
-    weighted standard basis, staircase indexed in spectrum order, and
-    exact decomposition of homogeneous parts into staircase + Jacobian
-    cofactors (cofactors taken against the original Jacobian generators)."""
+    """The graded engine of one quasihomogeneous boundary singularity at
+    fixed weights, cached on the germ by :func:`_engine` and built lazily.
 
-    def __init__(
-        self,
-        bs: BoundarySingularity,
-        weights: Sequence[Rat],
-        generator_order: Sequence[int] | None = None,
-    ):
-        self.w = check_weights(weights, bs.ctx.arity)
-        if not euler_check(bs.f, self.w):
-            raise NotQuasihomogeneousError(
-                "requires quasihomogeneous f (Euler identity fails for these weights)"
-            )
+    The staircase of Q = O/J_{f,H}, in spectrum order, comes from whichever
+    weighted standard basis is built first (``spectrum`` builds an
+    untracked one) and must have mu_{f,H} monomials; a basis built later
+    must give the same staircase.  Per generator order, ``tracked`` builds
+    a tracked basis with homogenized representations, through which
+    ``graded_decompose`` splits homogeneous parts exactly into staircase +
+    cofactors of the original Jacobian generators.  A failed check raises
+    :class:`CertificateError` and caches nothing.
+    """
+
+    def __init__(self, bs: BoundarySingularity, w: tuple[Fraction, ...]):
+        self.w = w
         self.ctx = bs.ctx
-        self.f = bs.f
-        self.order = LocalOrder(self.w)
-        self.jac = jacobian_ideal_boundary(bs.f)
-        n = len(self.jac)
-        perm = list(generator_order) if generator_order is not None else list(range(n))
-        if sorted(perm) != list(range(n)):
-            raise ValueError("generator_order must be a permutation")
-        self.perm = perm
-        used = [self.jac[p] for p in perm]
-        self.sb = standard_basis(used, self.order, track_representations=True)
-        alg = quotient_basis(self.sb)
-        if alg.dimension == INFINITE:
-            raise NonIsolatedError("staircase complement is infinite")
-        entries = sorted(
-            ((_alpha(m, self.w), m) for m in alg.basis_monomials),
-            key=lambda am: (am[0], monomial_key(am[1])),
-        )
-        self.basis: list[Monomial] = [m for _, m in entries]
-        self.alphas: list[Fraction] = [a for a, _ in entries]
-        self.slot = {m: i for i, (_, m) in enumerate(entries)}
-        self.staircase = set(self.basis)
+        self.mu = bs.mu_boundary
+        self.order = LocalOrder(w)
+        self.jac = bs.boundary_gens
+        self._spectrum: Spectrum | None = None
+        self.slot: dict[Monomial, int] = {}
+        self._tracked: dict[tuple[int, ...], tuple[_Reducer, ...]] = {}
 
-        # homogeneous representations of the basis elements in the
-        # *canonical* Jacobian generators: sb gen i == sum_j reps[i][j]*jac[j]
+    def _set_staircase(self, alg: LocalAlgebra) -> None:
+        spec = _spectrum_of(alg, self.w, self.ctx.names)
+        if self._spectrum is not None:
+            if spec != self._spectrum:
+                raise CertificateError(
+                    "two weighted standard bases of J_(f,H) have different staircases"
+                )
+            return
+        if len(spec) != self.mu:
+            raise CertificateError(
+                f"weighted staircase has {len(spec)} monomials, "
+                f"unweighted boundary quotient has {self.mu}"
+            )
+        self._spectrum = spec
+        self.slot = {e.monomial: i for i, e in enumerate(spec.entries)}
+
+    def spectrum(self) -> Spectrum:
+        if self._spectrum is None:
+            self._set_staircase(quotient_basis(standard_basis(self.jac, self.order)))
+        return self._spectrum
+
+    def tracked(self, generator_order: Sequence[int] | None = None) -> tuple[_Reducer, ...]:
+        """The reducers of the tracked basis for this generator order
+        (default: the canonical one), built on first use."""
+        n = len(self.jac)
+        key = tuple(range(n) if generator_order is None else generator_order)
+        if key in self._tracked:
+            return self._tracked[key]
+        if sorted(key) != list(range(n)):
+            raise ValueError("generator_order must be a permutation")
+        sb = standard_basis(
+            [self.jac[p] for p in key], self.order, track_representations=True
+        )
+        if sb.representations is None:
+            raise CertificateError("standard basis lost its representations")
         gen_deg = [
             None if g.is_zero() else weighted_degree(g, self.w) for g in self.jac
         ]
-        self.reps: list[list[Polynomial]] = []
-        if self.sb.representations is None:
-            raise CertificateError("standard basis lost its representations")
-        for gi, rep in zip(self.sb.generators, self.sb.representations):
+        reducers = []
+        for gi, rep in zip(sb.generators, sb.representations):
             d_g = weighted_degree(gi, self.w)
             if d_g is None:
                 raise CertificateError("standard basis element is not homogeneous")
             row = [Polynomial.zero(self.ctx) for _ in range(n)]
             for used_idx, cof in enumerate(rep):
-                j = perm[used_idx]
+                j = key[used_idx]
                 if cof.is_zero() or gen_deg[j] is None:
                     continue
                 target = d_g - gen_deg[j]
                 keep = {
                     m: c
                     for m, c in cof.terms.items()
-                    if sum((wi * e for wi, e in zip(self.w, m)), Fraction(0)) == target
+                    if monomial_weighted_degree(m, self.w) == target
                 }
                 row[j] = Polynomial(self.ctx, keep)
             check = Polynomial.zero(self.ctx)
@@ -441,24 +457,24 @@ class _GradedStructure:
                 check = check + row[j] * self.jac[j]
             if check != gi:
                 raise CertificateError("homogenized representation lost exactness")
-            self.reps.append(row)
-
-    def alpha_of(self, m: Monomial) -> Fraction:
-        return _alpha(m, self.w)
+            reducers.append((*leading_term(gi, self.order), gi, tuple(row)))
+        self._set_staircase(quotient_basis(sb))
+        self._tracked[key] = tuple(reducers)
+        return self._tracked[key]
 
     def graded_decompose(
-        self, part: Polynomial
+        self, part: Polynomial, reducers: tuple[_Reducer, ...]
     ) -> tuple[dict[Monomial, Fraction], list[Polynomial]]:
         """part == sum(rem) + sum_j cof[j]*jac[j], with rem supported on the
-        staircase and every cof[j] weighted-homogeneous.  Plain division
-        within a fixed weighted degree always terminates."""
+        staircase and every cof[j] weighted-homogeneous, by division with
+        the reducers of one tracked basis.  Plain division within a fixed
+        weighted degree always terminates."""
         rem: dict[Monomial, Fraction] = {}
-        cof_sb = [Polynomial.zero(self.ctx) for _ in self.sb.generators]
+        cof_sb = [Polynomial.zero(self.ctx) for _ in reducers]
         work = part
         while not work.is_zero():
             lm, lc = leading_term(work, self.order)
-            for k, g in enumerate(self.sb.generators):
-                lm_g, lc_g = leading_term(g, self.order)
+            for k, (lm_g, lc_g, g, _) in enumerate(reducers):
                 if monomial_divides(lm_g, lm):
                     factor = Polynomial.monomial(
                         self.ctx, tuple(a - b for a, b in zip(lm, lm_g)), lc / lc_g
@@ -467,17 +483,17 @@ class _GradedStructure:
                     cof_sb[k] = cof_sb[k] + factor
                     break
             else:
-                if lm not in self.staircase:
+                if lm not in self.slot:
                     raise CertificateError("non-staircase monomial escaped division")
                 rem[lm] = rem.get(lm, Fraction(0)) + lc
                 work = work - Polynomial.monomial(self.ctx, lm, lc)
         cof = [Polynomial.zero(self.ctx) for _ in self.jac]
-        for k, a in enumerate(cof_sb):
+        for a, (_, _, _, row) in zip(cof_sb, reducers):
             if a.is_zero():
                 continue
-            for j in range(len(self.jac)):
-                if not self.reps[k][j].is_zero():
-                    cof[j] = cof[j] + a * self.reps[k][j]
+            for j, r in enumerate(row):
+                if not r.is_zero():
+                    cof[j] = cof[j] + a * r
         rem = {m: c for m, c in rem.items() if c != 0}
         recomposed = Polynomial(self.ctx, rem)
         for j, g in enumerate(self.jac):
@@ -486,12 +502,29 @@ class _GradedStructure:
             raise CertificateError("graded decomposition lost exactness")
         return rem, cof
 
-    def spectrum(self) -> Spectrum:
-        return Spectrum(
-            tuple(SpectrumEntry(m, a) for m, a in zip(self.basis, self.alphas)),
-            self.w,
-            self.ctx.names,
-        )
+    def coordinates(self, g: Polynomial) -> dict[Monomial, Fraction]:
+        """Staircase coordinates of g: its exact residue modulo J_{f,H}."""
+        reducers = self.tracked()
+        out: dict[Monomial, Fraction] = {}
+        for _, part in quasihomogeneous_components(g, self.w):
+            rem, _ = self.graded_decompose(part, reducers)
+            for m, c in rem.items():
+                out[m] = out.get(m, Fraction(0)) + c
+        return {m: c for m, c in out.items() if c != 0}
+
+
+def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedStructure:
+    """The graded engine of bs at these weights, cached on bs by the checked
+    weights.  Weights failing the Euler identity raise and cache nothing."""
+    w = check_weights(weights, bs.ctx.arity)
+    st = bs._graded_engines.get(w)
+    if st is None:
+        if not euler_check(bs.f, w):
+            raise NotQuasihomogeneousError(
+                "requires quasihomogeneous f (Euler identity fails for these weights)"
+            )
+        st = bs._graded_engines[w] = _GradedStructure(bs, w)
+    return st
 
 
 def quotient_coordinates(
@@ -499,15 +532,7 @@ def quotient_coordinates(
 ) -> dict[Monomial, Fraction]:
     """Coordinates of g in the staircase basis of Q = O/J_{f,H} (the exact
     residue of g modulo the boundary Jacobian ideal)."""
-    st = _GradedStructure(bs, weights)
-    out: dict[Monomial, Fraction] = {}
-    if g.is_zero():
-        return out
-    for _, part in quasihomogeneous_components(g, st.w):
-        rem, _ = st.graded_decompose(part)
-        for m, c in rem.items():
-            out[m] = out.get(m, Fraction(0)) + c
-    return {m: c for m, c in out.items() if c != 0}
+    return _engine(bs, weights).coordinates(g)
 
 
 def brieskorn_reduce(
@@ -525,7 +550,8 @@ def brieskorn_reduce(
     t * (div V)/s with s = d + |w| - 1, recursing on the strictly smaller
     degree d - 1.
     """
-    st = _GradedStructure(bs, weights, generator_order)
+    st = _engine(bs, weights)
+    reducers = st.tracked(generator_order)
     total_w = sum(st.w, Fraction(0))
     b = st.ctx.boundary_index
     ys = [i for i in range(st.ctx.arity) if i != b]
@@ -538,7 +564,7 @@ def brieskorn_reduce(
         if h.is_zero():
             continue
         for d, part in quasihomogeneous_components(h, st.w):
-            rem, cof = st.graded_decompose(part)
+            rem, cof = st.graded_decompose(part, reducers)
             for m, c in rem.items():
                 slot = coords.setdefault(st.slot[m], {})
                 slot[tpow] = slot.get(tpow, Fraction(0)) + c

@@ -1,0 +1,20 @@
+"""Certificates must survive ``python -O``, which strips ``assert``
+statements: the package checks them with explicit exceptions only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bsing").glob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}"
