@@ -532,11 +532,14 @@ class PowerSeries1:
     def __mul__(self, other: "PowerSeries1") -> "PowerSeries1":
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            if self[i] == 0:
+        right = [(j, b) for j, b in enumerate(other.coefficients[: n + 1]) if b]
+        for i, a in enumerate(self.coefficients[: n + 1]):
+            if a == 0:
                 continue
-            for j in range(n + 1 - i):
-                out[i + j] += self[i] * other[j]
+            for j, b in right:
+                if i + j > n:
+                    break
+                out[i + j] += a * b
         return PowerSeries1(out)
 
     def derivative(self) -> "PowerSeries1":
@@ -594,21 +597,27 @@ def series_integrate_monomial_weighted(c: PowerSeries1, n: int) -> PowerSeries1:
 
 
 def series_rational_power(s: PowerSeries1, q: Rat) -> PowerSeries1:
-    """s^q for a series with constant term 1, via the binomial series.
+    """s^q for a series with constant term 1, by J. C. P. Miller's recurrence.
 
-    Uses the recurrence r' s = q s' r, exact at every order.  Raises
-    :class:`SeriesError` if s(0) != 1.
+    r = s^q solves r' s = q s' r with r_0 = 1; comparing coefficients of
+    t^(k-1) gives
+
+        r_k = (1/k) * sum_{1 <= i <= k, s_i != 0} ((q + 1) i - k) s_i r_{k-i}
+
+    (Knuth, *TAOCP* vol. 2, section 4.7).  The sum runs over the support of
+    s only, so the cost is O(N * #supp s) exact Fraction operations at
+    truncation order N.  Raises :class:`SeriesError` if s(0) != 1.
     """
     if s[0] != 1:
         raise SeriesError("rational powers require constant term 1")
-    q = Fraction(q)
-    n = s.order
-    r = [Fraction(1)] + [Fraction(0)] * n
-    for j in range(n):
+    q1 = Fraction(q) + 1
+    support = [(i, q1 * i * c, c) for i, c in enumerate(s.coefficients) if i and c]
+    r = [Fraction(1)]
+    for k in range(1, s.order + 1):
         acc = Fraction(0)
-        for i in range(j + 1):
-            acc += q * (i + 1) * s[i + 1] * r[j - i]
-        for i in range(j):
-            acc -= (i + 1) * r[i + 1] * s[j - i]
-        r[j + 1] = acc / (j + 1)
+        for i, a, c in support:
+            if i > k:
+                break
+            acc += (a - k * c) * r[k - i]
+        r.append(acc / k)
     return PowerSeries1(r)

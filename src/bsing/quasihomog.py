@@ -256,16 +256,14 @@ def spectrum_splitting_check(
     The +1 shift is where the restriction's classes land after wedging
     with df: a class of weighted degree e on the boundary maps to one of
     degree e + (1 - w_x), whose boundary alpha is e + |w'| + 1 with w' the
-    boundary weights.
+    boundary weights.  The two ordinary spectra are built once and kept on
+    the germ's graded engine.
     """
     w = check_weights(weights, bs.ctx.arity)
     rel = Counter(spectrum(bs, w).alphas())
-    amb = Counter(ordinary_spectrum(bs.f, w).alphas())
-    b = bs.ctx.boundary_index
-    w_rest = w[:b] + w[b + 1 :]
-    if bs.restriction.is_zero() or not w_rest:
-        raise NotQuasihomogeneousError("splitting needs a boundary restriction in >= 1 variable")
-    res = Counter(a + 1 for a in ordinary_spectrum(bs.restriction, w_rest).alphas())
+    ambient, restricted = _engine(bs, w).ordinary_spectra()
+    amb = Counter(ambient.alphas())
+    res = Counter(a + 1 for a in restricted.alphas())
     return rel == amb + res
 
 
@@ -383,8 +381,10 @@ class _GradedStructure:
     must give the same staircase.  Per generator order, ``tracked`` builds
     a tracked basis with homogenized representations, through which
     ``graded_decompose`` splits homogeneous parts exactly into staircase +
-    cofactors of the original Jacobian generators.  A failed check raises
-    :class:`CertificateError` and caches nothing.
+    cofactors of the original Jacobian generators.  ``ordinary_spectra``
+    keeps the ordinary spectra of f and f|H that the splitting law compares
+    against.  A failed check raises :class:`CertificateError` and caches
+    nothing.
     """
 
     def __init__(self, bs: BoundarySingularity, w: tuple[Fraction, ...]):
@@ -393,7 +393,10 @@ class _GradedStructure:
         self.mu = bs.mu_boundary
         self.order = LocalOrder(w)
         self.jac = bs.boundary_gens
+        self.f = bs.f
+        self.restriction = bs.restriction
         self._spectrum: Spectrum | None = None
+        self._ordinary: tuple[Spectrum, Spectrum] | None = None
         self.slot: dict[Monomial, int] = {}
         self._tracked: dict[tuple[int, ...], tuple[_Reducer, ...]] = {}
 
@@ -417,6 +420,20 @@ class _GradedStructure:
         if self._spectrum is None:
             self._set_staircase(quotient_basis(standard_basis(self.jac, self.order)))
         return self._spectrum
+
+    def ordinary_spectra(self) -> tuple[Spectrum, Spectrum]:
+        """The ordinary spectra of f and of f|H, the two sides of the
+        splitting law, built on first use."""
+        if self._ordinary is None:
+            ambient = ordinary_spectrum(self.f, self.w)
+            b = self.ctx.boundary_index
+            w_rest = self.w[:b] + self.w[b + 1 :]
+            if self.restriction.is_zero() or not w_rest:
+                raise NotQuasihomogeneousError(
+                    "splitting needs a boundary restriction in >= 1 variable"
+                )
+            self._ordinary = (ambient, ordinary_spectrum(self.restriction, w_rest))
+        return self._ordinary
 
     def tracked(self, generator_order: Sequence[int] | None = None) -> tuple[_Reducer, ...]:
         """The reducers of the tracked basis for this generator order

@@ -4,8 +4,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from bsing import cli
 from bsing.polyring import PowerSeries1, series_rational_power
 from bsing.report import Report, rational_from_json, rational_to_json
+from test_polyring import _power_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,6 +127,33 @@ class TestIsochoreCommand:
         assert payload["v"] == [rational_to_json(x) for x in v.coefficients]
         assert payload["psi"] == [rational_to_json(Fraction(0))] + payload["v"]
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_order_200_output_matches_the_oracle(self, n, as_json):
+        c_text = "1,-2/3,0,5,0,0,0,1/7"
+        res = run_cli(
+            "isochore", "--c", c_text, "--n", str(n), "--order", "200",
+            *(["--json"] if as_json else []),
+        )
+        assert res.returncode == 0
+        c = [Fraction(x) for x in c_text.split(",")] + [Fraction(0)] * 193
+        w = [cj * Fraction(n + 2, n + 2 + 2 * j) for j, cj in enumerate(c)]
+        v = list(_power_oracle(PowerSeries1(w), Fraction(2, n + 2)).coefficients)
+        series = {"c": c, "w": w, "v": v, "psi": [Fraction(0)] + v}
+        if as_json:
+            payload = {"schema": 1, "command": "isochore", "n": n}
+            payload.update(
+                (key, [rational_to_json(x) for x in xs]) for key, xs in series.items()
+            )
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            lines = [f"n = {n}"] + [
+                f"{key:<3} = {', '.join(map(str, xs))}" for key, xs in series.items()
+            ]
+            expected = "\n".join(lines) + "\n"
+        assert res.stdout == expected
+        assert res.stderr == ""
+
     def test_bad_constant_exit_4(self):
         res = run_cli("isochore", "--c", "2,1", "--n", "1")
         assert res.returncode == 4
@@ -179,3 +210,46 @@ class TestOutFlag:
         assert res.stdout == ""
         payload = json.loads(target.read_text())
         assert payload["milnor"]["mu_boundary"] == 4
+
+
+class TestMainInProcess:
+    """The parser is built once per process; nothing of one main() call
+    may reach the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flag_error_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["milnor", "--f", "x^2+y^3", "--nonsense"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
+        assert cli.main(["milnor", "--f", "x^2+y^3"]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert "mu_(f,H) = 4" in out and err == ""
+
+    def test_out_file_then_stdout(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        argv = ["milnor", "--f", "x^2+y^3", "--json"]
+        assert cli.main([*argv, "--out", str(target)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == json.loads(target.read_text())
+        target.unlink()
+        assert cli.main(["isochore", "--c", "1,1", "--n", "1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("n = 1\n")
+        assert not target.exists()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, capsys):
+        plain = ["milnor", "--f", "x^2+y^3"]
+        assert cli.main(plain) == cli.EXIT_OK
+        first = capsys.readouterr().out
+        argv = ["milnor", "--f", "y^2+x^3+z^2", "--vars", "x,y,z", "--boundary", "y", "--json"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["boundary"] == "y"
+        assert cli.main(plain) == cli.EXIT_OK
+        assert capsys.readouterr().out == first
+        assert cli.main(["table", "--family", "A", "--k-max", "1"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["table", "--family", "A"]) == cli.EXIT_PARSE
+        assert "needs --k-max >= 1" in capsys.readouterr().err

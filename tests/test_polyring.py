@@ -202,3 +202,107 @@ class TestSeries:
         b = PowerSeries1([1, 1])
         assert (a + b).order == 1
         assert (a * b) == PowerSeries1([1, 3])
+
+
+def _power_oracle(s: PowerSeries1, q) -> PowerSeries1:
+    """s^q by the O(N^2) double sum of r' s = q s' r, coefficient by
+    coefficient: the recurrence series_rational_power used before Miller's."""
+    if s[0] != 1:
+        raise SeriesError("rational powers require constant term 1")
+    q = Fraction(q)
+    n = s.order
+    r = [Fraction(1)] + [Fraction(0)] * n
+    for j in range(n):
+        acc = Fraction(0)
+        for i in range(j + 1):
+            acc += q * (i + 1) * s[i + 1] * r[j - i]
+        for i in range(j):
+            acc -= (i + 1) * r[i + 1] * s[j - i]
+        r[j + 1] = acc / (j + 1)
+    return PowerSeries1(r)
+
+
+def _mul_oracle(a: PowerSeries1, b: PowerSeries1) -> PowerSeries1:
+    n = min(a.order, b.order)
+    return PowerSeries1(
+        sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1)
+    )
+
+
+def _seeded_series(rng: random.Random, order: int, sparse: bool) -> PowerSeries1:
+    """1 + (four random terms, or a random coefficient at every order)."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    slots = rng.sample(range(1, order + 1), min(4, order)) if sparse else range(1, order + 1)
+    for j in slots:
+        coeffs[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+    return PowerSeries1(coeffs)
+
+
+def _isochore_w(rng: random.Random, n: int, order: int) -> PowerSeries1:
+    """w of a 4-term volume coefficient c, as `bsing isochore` builds it."""
+    return series_integrate_monomial_weighted(_seeded_series(rng, order, sparse=True), n)
+
+
+# exponent kinds by the number n of non-boundary variables
+EXPONENTS = {
+    "2/(n+2)": lambda n: Fraction(2, n + 2),
+    "(n+2)/2": lambda n: Fraction(n + 2, 2),
+    "negative": lambda n: Fraction(-(2 * n + 1), 3),
+    "integer": lambda n: n + 2,
+    "zero": lambda n: 0,
+}
+
+
+class TestMillerRecurrence:
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("kind", EXPONENTS)
+    def test_matches_double_sum_oracle(self, kind, sparse):
+        rng = random.Random(f"{kind}/{sparse}")
+        for n in range(4):
+            q = EXPONENTS[kind](n)
+            for order in (0, 1, 2, 9, 40):
+                s = _seeded_series(rng, order, sparse)
+                assert series_rational_power(s, q) == _power_oracle(s, q), (n, order)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_matches_oracle_at_order_200(self, n):
+        rng = random.Random(200 + n)
+        q = Fraction(2, n + 2)
+        w = _isochore_w(rng, n, 200)
+        assert series_rational_power(w, q) == _power_oracle(w, q)
+        if n == 3:
+            s = _seeded_series(rng, 200, sparse=False)
+            assert series_rational_power(s, q) == _power_oracle(s, q)
+
+    @pytest.mark.parametrize("kind", ["2/(n+2)", "(n+2)/2", "negative", "integer"])
+    def test_roundtrip(self, kind):
+        rng = random.Random(kind)
+        for n in range(4):
+            q = Fraction(EXPONENTS[kind](n))
+            for sparse in (True, False):
+                w = _isochore_w(rng, n, 60) if sparse else _seeded_series(rng, 25, False)
+                assert series_rational_power(series_rational_power(w, q), 1 / q) == w
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_v_to_the_n_plus_2_is_w_squared(self, n):
+        w = _isochore_w(random.Random(n), n, 60)
+        v = series_rational_power(w, Fraction(2, n + 2))
+        power = PowerSeries1.constant(1, w.order)
+        for _ in range(n + 2):
+            power = power * v
+        assert power == w * w
+
+    @pytest.mark.parametrize("coeffs", [[2, 1], [0, 1], [-1, 0, 3], [3], [0]])
+    def test_constant_term_must_be_one(self, coeffs):
+        for q in (Fraction(1, 2), 2, 0):
+            with pytest.raises(SeriesError):
+                series_rational_power(PowerSeries1(coeffs), q)
+
+    def test_mul_skips_zeros_on_both_sides_with_the_same_result(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            a = _seeded_series(rng, rng.randint(0, 30), rng.random() < 0.5)
+            b = _seeded_series(rng, rng.randint(0, 30), rng.random() < 0.5)
+            a = a.scale(rng.choice((0, 1, Fraction(-2, 3))))
+            assert a * b == _mul_oracle(a, b)
+            assert b * a == _mul_oracle(b, a)

@@ -263,6 +263,24 @@ class TestGradedEngine:
         }
 
     @pytest.mark.parametrize("f,ctx", ENGINE_GERMS)
+    def test_second_splitting_check_builds_no_basis(self, builds, f, ctx):
+        bs = bsing(f, ctx)
+        w = detect_weights(bs.f)
+        assert spectrum_splitting_check(bs, w)
+        # the engine's staircase, then the ordinary spectra of f and f|H
+        assert builds == ["untracked"] * 3
+        assert spectrum_splitting_check(bs, w)
+        assert builds == ["untracked"] * 3
+
+    def test_splitting_without_restriction_raises_every_time(self, builds):
+        bs = BoundarySingularity(poly("x^3", VarContext(("x",), 0)))
+        w = detect_weights(bs.f)
+        for _ in range(2):
+            with pytest.raises(NotQuasihomogeneousError, match="restriction"):
+                spectrum_splitting_check(bs, w)
+        assert bs._graded_engines[w]._ordinary is None
+
+    @pytest.mark.parametrize("f,ctx", ENGINE_GERMS)
     def test_each_generator_order_adds_one_tracked_basis(self, builds, f, ctx):
         bs = bsing(f, ctx)
         w = detect_weights(bs.f)
