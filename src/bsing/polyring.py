@@ -532,14 +532,11 @@ class PowerSeries1:
     def __mul__(self, other: "PowerSeries1") -> "PowerSeries1":
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
-        right = [(j, b) for j, b in enumerate(other.coefficients[: n + 1]) if b]
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
+        for i in range(n + 1):
+            if self[i] == 0:
                 continue
-            for j, b in right:
-                if i + j > n:
-                    break
-                out[i + j] += a * b
+            for j in range(n + 1 - i):
+                out[i + j] += self[i] * other[j]
         return PowerSeries1(out)
 
     def derivative(self) -> "PowerSeries1":

@@ -261,7 +261,7 @@ def spectrum_splitting_check(
     """
     w = check_weights(weights, bs.ctx.arity)
     rel = Counter(spectrum(bs, w).alphas())
-    ambient, restricted = _engine(bs, w).ordinary_spectra()
+    ambient, restricted = _engine(bs, w).ordinary_spectra(bs)
     amb = Counter(ambient.alphas())
     res = Counter(a + 1 for a in restricted.alphas())
     return rel == amb + res
@@ -393,8 +393,6 @@ class _GradedStructure:
         self.mu = bs.mu_boundary
         self.order = LocalOrder(w)
         self.jac = bs.boundary_gens
-        self.f = bs.f
-        self.restriction = bs.restriction
         self._spectrum: Spectrum | None = None
         self._ordinary: tuple[Spectrum, Spectrum] | None = None
         self.slot: dict[Monomial, int] = {}
@@ -421,18 +419,21 @@ class _GradedStructure:
             self._set_staircase(quotient_basis(standard_basis(self.jac, self.order)))
         return self._spectrum
 
-    def ordinary_spectra(self) -> tuple[Spectrum, Spectrum]:
-        """The ordinary spectra of f and of f|H, the two sides of the
-        splitting law, built on first use."""
+    def ordinary_spectra(self, bs: BoundarySingularity) -> tuple[Spectrum, Spectrum]:
+        """The ordinary spectra of f and of f|H of the germ ``bs`` this
+        engine belongs to, the two sides of the splitting law, built on
+        first use.  A missing f|H raises before anything is built."""
         if self._ordinary is None:
-            ambient = ordinary_spectrum(self.f, self.w)
             b = self.ctx.boundary_index
             w_rest = self.w[:b] + self.w[b + 1 :]
-            if self.restriction.is_zero() or not w_rest:
+            if bs.restriction.is_zero() or not w_rest:
                 raise NotQuasihomogeneousError(
                     "splitting needs a boundary restriction in >= 1 variable"
                 )
-            self._ordinary = (ambient, ordinary_spectrum(self.restriction, w_rest))
+            self._ordinary = (
+                ordinary_spectrum(bs.f, self.w),
+                ordinary_spectrum(bs.restriction, w_rest),
+            )
         return self._ordinary
 
     def tracked(self, generator_order: Sequence[int] | None = None) -> tuple[_Reducer, ...]:

@@ -9,7 +9,7 @@ import pytest
 from bsing import cli
 from bsing.polyring import PowerSeries1, series_rational_power
 from bsing.report import Report, rational_from_json, rational_to_json
-from test_polyring import _power_oracle
+from series_oracle import power_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -138,7 +138,7 @@ class TestIsochoreCommand:
         assert res.returncode == 0
         c = [Fraction(x) for x in c_text.split(",")] + [Fraction(0)] * 193
         w = [cj * Fraction(n + 2, n + 2 + 2 * j) for j, cj in enumerate(c)]
-        v = list(_power_oracle(PowerSeries1(w), Fraction(2, n + 2)).coefficients)
+        v = list(power_oracle(PowerSeries1(w), Fraction(2, n + 2)).coefficients)
         series = {"c": c, "w": w, "v": v, "psi": [Fraction(0)] + v}
         if as_json:
             payload = {"schema": 1, "command": "isochore", "n": n}

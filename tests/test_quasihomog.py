@@ -278,6 +278,8 @@ class TestGradedEngine:
         for _ in range(2):
             with pytest.raises(NotQuasihomogeneousError, match="restriction"):
                 spectrum_splitting_check(bs, w)
+        # the engine's staircase only: no ordinary spectrum is built
+        assert builds == ["untracked"]
         assert bs._graded_engines[w]._ordinary is None
 
     @pytest.mark.parametrize("f,ctx", ENGINE_GERMS)
