@@ -60,13 +60,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _context(args) -> VarContext:
+def _context(args, params: tuple[str, ...] = ()) -> VarContext:
+    """The variables of --vars, then ``params``, with --boundary marked."""
     names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
-    if not names:
+    if not (names or params):
         raise ParseError("no variables declared", 0)
     if args.boundary not in names:
         raise ParseError(f"boundary variable {args.boundary!r} not in --vars", 0)
-    return VarContext(names, names.index(args.boundary))
+    if len(set(names + params)) < len(names + params):
+        raise ParseError("variable and parameter names must be distinct", 0)
+    return VarContext(names + params, names.index(args.boundary))
 
 
 def _emit(text: str, args) -> None:
@@ -105,48 +108,23 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_HEADERS = {
-    "A": "# family A: f = x + y^(k+1), boundary {x = 0}",
-    "B": "# family B: f = x^k + y^2, boundary {x = 0}",
-    "C": "# family C: f = x*y + y^k, boundary {x = 0}",
-    "F4": "# family F4: f = x^2 + y^3, boundary {x = 0}",
-}
-
-_FAMILY_K_MIN = {"A": 1, "B": 2, "C": 2}
-
-
-def _family_text(family: str, k: int | None) -> str:
-    if family == "A":
-        return f"x + y^{k + 1}"
-    if family == "B":
-        return f"x^{k} + y^2"
-    if family == "C":
-        return f"x*y + y^{k}"
-    return "x^2 + y^3"
-
-
 def _family_reports(family: str, k_max: int | None) -> list[tuple[int | None, Report]]:
+    fam = corpus.NORMAL_FORMS[family]
+    if fam.k_min is not None and (k_max is None or k_max < fam.k_min):
+        raise ParseError(f"family {family} needs --k-max >= {fam.k_min}", 0)
     rows: list[tuple[int | None, Report]] = []
-    if family == "F4":
-        ks: list[int | None] = [None]
-    else:
-        k_min = _FAMILY_K_MIN[family]
-        if k_max is None or k_max < k_min:
-            raise ParseError(f"family {family} needs --k-max >= {k_min}", 0)
-        ks = list(range(k_min, k_max + 1))
-    for k in ks:
-        f = corpus.family_normal_form(family, k if k is not None else 0)
+    for k in fam.k_values(k_max):
+        f = corpus.family_normal_form(family, k)
         bs = BoundarySingularity(f)
         w = detect_weights(f)
         spec = spectrum(bs, w)
-        rows.append((k, build_report(_family_text(family, k), bs, weights=w, spec=spec)))
+        text = " + ".join(format_monomial(m, ("x", "y")) for m in fam.monomials(k))
+        rows.append((k, build_report(text, bs, weights=w, spec=spec)))
     return rows
 
 
 def cmd_table(args) -> int:
     family = args.family
-    if family not in _FAMILY_HEADERS:
-        raise ParseError(f"unknown family {family!r} (use A, B, C or F4)", 0)
     rows = _family_reports(family, args.k_max)
     if args.json:
         payload = {
@@ -159,13 +137,18 @@ def cmd_table(args) -> int:
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
     else:
-        lines = [_FAMILY_HEADERS[family]]
+        form = corpus.NORMAL_FORMS[family].form
+        lines = [f"# family {family}: f = {form}, boundary {{x = 0}}"]
         lines.extend(render_table_row(r, k) for k, r in rows)
         _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
 
 def cmd_isochore(args) -> int:
+    if args.n < 0:
+        raise ParseError("--n must be a natural number", 0)
+    if args.order is not None and args.order < 0:
+        raise ParseError("--order must be a natural number", 0)
     try:
         c = parse_series(args.c)
     except ParseError as e:
@@ -204,13 +187,7 @@ def cmd_versal(args) -> int:
     params = tuple(s.strip() for s in args.params.split(",") if s.strip())
     if not params:
         raise ParseError("no parameters declared", 0)
-    var_names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
-    if args.boundary not in var_names:
-        raise ParseError(f"boundary variable {args.boundary!r} not in --vars", 0)
-    full_ctx = VarContext(
-        var_names + params, var_names.index(args.boundary)
-    )
-    F = parse_polynomial(args.F, full_ctx)
+    F = parse_polynomial(args.F, _context(args, params))
     d = Deformation.from_family(F, params)
     rep = versality_check(d)
     missing = [
@@ -303,7 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--f", required=True)
 
     p = sub.add_parser("table", parents=[shared], help="family tables A/B/C/F4")
-    p.add_argument("--family", required=True, choices=["A", "B", "C", "F4"])
+    p.add_argument("--family", required=True, choices=list(corpus.NORMAL_FORMS))
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
 
     p = sub.add_parser("isochore", parents=[shared],

@@ -4,13 +4,14 @@ Two generators: arbitrary germs with finite boundary Milnor number (for
 the additivity / oracle cross-checks) and quasihomogeneous germs built
 from diagonal forms plus compatible mixed monomials (for the spectrum,
 splitting and reduction laws).  Everything is driven by a seed so runs
-are reproducible.
+are reproducible.  The table of plane normal-form families lives here too.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .boundary import (
     BoundarySingularity,
@@ -18,7 +19,7 @@ from .boundary import (
     NonIsolatedError,
     jacobian_ideal_boundary,
 )
-from .polyring import Polynomial, VarContext
+from .polyring import Monomial, Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
 from .standard_basis import INFINITE, LocalOrder, _certified_quotient
 
@@ -170,22 +171,31 @@ def quasihomogeneous_corpus(
     return out
 
 
-def family_normal_form(family: str, k: int) -> Polynomial:
-    """Plane normal forms: A_k = x + y^(k+1) (k>=1), B_k = x^k + y^2 and
-    C_k = x*y + y^k (k>=2), F_4 = x^2 + y^3."""
-    ctx = _CONTEXTS[2]
-    if family == "A":
-        if k < 1:
-            raise ValueError("A_k needs k >= 1")
-        return Polynomial(ctx, {(1, 0): 1, (0, k + 1): 1})
-    if family == "B":
-        if k < 2:
-            raise ValueError("B_k needs k >= 2")
-        return Polynomial(ctx, {(k, 0): 1, (0, 2): 1})
-    if family == "C":
-        if k < 2:
-            raise ValueError("C_k needs k >= 2")
-        return Polynomial(ctx, {(1, 1): 1, (0, k): 1})
-    if family == "F4":
-        return Polynomial(ctx, {(2, 0): 1, (0, 3): 1})
-    raise ValueError(f"unknown family {family!r}")
+class NormalFormFamily(NamedTuple):
+    """One family of plane normal forms, boundary variable x first."""
+
+    k_min: int | None  # None: a single form, F_4
+    form: str  # the generic form, as printed in table headers
+    monomials: Callable[[int | None], tuple[Monomial, ...]]  # the form at k
+
+    def k_values(self, k_max: int | None) -> list[int | None]:
+        return [None] if self.k_min is None else list(range(self.k_min, k_max + 1))
+
+
+# Arnold's simple boundary singularities in two variables, boundary {x = 0}.
+NORMAL_FORMS = {
+    "A": NormalFormFamily(1, "x + y^(k+1)", lambda k: ((1, 0), (0, k + 1))),
+    "B": NormalFormFamily(2, "x^k + y^2", lambda k: ((k, 0), (0, 2))),
+    "C": NormalFormFamily(2, "x*y + y^k", lambda k: ((1, 1), (0, k))),
+    "F4": NormalFormFamily(None, "x^2 + y^3", lambda k: ((2, 0), (0, 3))),
+}
+
+
+def family_normal_form(family: str, k: int | None) -> Polynomial:
+    """The form of ``NORMAL_FORMS[family]`` at k (ignored for F4)."""
+    if family not in NORMAL_FORMS:
+        raise ValueError(f"unknown family {family!r}")
+    fam = NORMAL_FORMS[family]
+    if fam.k_min is not None and k < fam.k_min:
+        raise ValueError(f"{family}_k needs k >= {fam.k_min}")
+    return Polynomial(_CONTEXTS[2], dict.fromkeys(fam.monomials(k), 1))

@@ -106,6 +106,24 @@ def format_monomial(m: Monomial, names: Sequence[str]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _signed_sum(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Join (monomial text, coefficient) pairs as ``2*x - y + 1/2``: the
+    coefficient is left out when it is +-1, except for the monomial "1"."""
+    text = ""
+    for mono, c in terms:
+        if mono == "1":
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{abs(c)}*{mono}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -233,14 +251,6 @@ class Polynomial:
             self.context, {monomial_mul(m, t): c * v for t, v in self._terms.items()}
         )
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.context, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def partial_derivative(self, i: int) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
@@ -287,23 +297,8 @@ class Polynomial:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for m, c in self.items():
-            mono = format_monomial(m, self.context.names)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, first = pieces[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        names = self.context.names
+        return _signed_sum((format_monomial(m, names), c) for m, c in self.items())
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -538,14 +533,6 @@ class PowerSeries1:
             for j in range(n + 1 - i):
                 out[i + j] += self[i] * other[j]
         return PowerSeries1(out)
-
-    def derivative(self) -> "PowerSeries1":
-        """d/dt, one order lower (constant input stays order 0)."""
-        if self.order == 0:
-            return PowerSeries1([Fraction(0)])
-        return PowerSeries1(
-            [j * self[j] for j in range(1, self.order + 1)]
-        )
 
     def t_derivative(self) -> "PowerSeries1":
         """t * d/dt, same truncation order."""

@@ -42,6 +42,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     Rat,
+    _signed_sum,
     check_weights,
     monomial_divides,
     monomial_key,
@@ -53,6 +54,7 @@ from .standard_basis import (
     INFINITE,
     LocalAlgebra,
     LocalOrder,
+    _row_echelon,
     leading_term,
     quotient_basis,
     standard_basis,
@@ -88,35 +90,22 @@ def detect_weights(f: Polynomial) -> tuple[Fraction, ...]:
     if f.constant_term() != 0:
         raise NotQuasihomogeneousError("germ must vanish at the origin")
     arity = f.context.arity
-    rows = [[Fraction(e) for e in m] + [Fraction(1)] for m in f.support()]
-    # Gaussian elimination on the augmented matrix
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(arity):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][arity] != 0:
-            raise NotQuasihomogeneousError(
-                "not quasihomogeneous in these coordinates (no weight solution)"
-            )
-    if len(pivot_cols) < arity:
+    # augmented rows (m | 1); column ``arity`` holds the right-hand side
+    rows = [{i: Fraction(e) for i, e in enumerate(m) if e} | {arity: Fraction(1)}
+            for m in f.support()]
+    pivots = _row_echelon(rows)
+    if arity in pivots:
+        raise NotQuasihomogeneousError(
+            "not quasihomogeneous in these coordinates (no weight solution)"
+        )
+    if len(pivots) < arity:
         raise NotQuasihomogeneousError(
             "weights are underdetermined by the support of f"
         )
     w = [Fraction(0)] * arity
-    for i, col in enumerate(pivot_cols):
-        w[col] = rows[i][arity]
+    for col in reversed(range(arity)):  # pivot rows have no entry left of their pivot
+        rest = sum(v * w[c] for c, v in pivots[col].items() if col < c < arity)
+        w[col] = pivots[col].get(arity, 0) - rest
     if any(x <= 0 for x in w):
         raise NotQuasihomogeneousError(
             f"weight solution {tuple(map(str, w))} is not positive"
@@ -347,22 +336,8 @@ class BrieskornClass:
 
 def format_t_polynomial(powers: dict[int, Fraction]) -> str:
     """Render {power: coeff} as an exact polynomial in t (t^-1 allowed)."""
-    if not powers:
-        return "0"
-    pieces = []
-    for j in sorted(powers):
-        c = powers[j]
-        if j == 0:
-            body = str(abs(c))
-        else:
-            tpart = "t" if j == 1 else f"t^{j}"
-            body = tpart if abs(c) == 1 else f"{abs(c)}*{tpart}"
-        pieces.append(("-" if c < 0 else "+", body))
-    sign, first = pieces[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+    names = {0: "1", 1: "t"}
+    return _signed_sum((names.get(j, f"t^{j}"), powers[j]) for j in sorted(powers))
 
 
 # One reducer of a tracked basis: leading monomial, leading coefficient,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import BoundarySingularity, check_additivity, milnor_numbers
+from .corpus import NORMAL_FORMS
 from .polyring import Monomial, Polynomial, format_monomial
 from .quasihomog import RootOfUnity, Spectrum
 from .standard_basis import INFINITE
@@ -147,41 +148,18 @@ def spectrum_rows(spec: Spectrum) -> tuple[SpectrumRow, ...]:
 
 
 def classify_normal_form(f: Polynomial) -> str:
-    """Tag exact plane normal forms: A_k = x + y^(k+1), B_k = x^k + y^2,
-    C_k = x*y + y^k, F_4 = x^2 + y^3 (x the boundary variable); anything
+    """Tag f when it is exactly a form of ``corpus.NORMAL_FORMS`` with x
+    the boundary variable: "A_3" for x + y^4, "F_4" for x^2 + y^3; anything
     else is "unclassified"."""
     ctx = f.context
-    if ctx.arity != 2 or ctx.boundary_index is None:
+    if ctx.arity != 2 or ctx.boundary_index is None or f.is_zero():
         return "unclassified"
     b = ctx.boundary_index
-    v = 1 - b
-
-    def exps(xe: int, ye: int) -> Monomial:
-        m = [0, 0]
-        m[b], m[v] = xe, ye
-        return tuple(m)
-
-    terms = f.terms
-    if len(terms) != 2 or any(c != 1 for c in terms.values()):
-        return "unclassified"
-    support = set(terms)
-    if exps(2, 0) in support and exps(0, 3) in support:
-        return "F_4"
-    if exps(1, 0) in support:
-        other = (support - {exps(1, 0)}).pop()
-        if other[b] == 0 and other[v] >= 2:
-            return f"A_{other[v] - 1}"
-        return "unclassified"
-    if exps(0, 2) in support:
-        other = (support - {exps(0, 2)}).pop()
-        if other[v] == 0 and other[b] >= 2:
-            return f"B_{other[b]}"
-        return "unclassified"
-    if exps(1, 1) in support:
-        other = (support - {exps(1, 1)}).pop()
-        if other[b] == 0 and other[v] >= 2:
-            return f"C_{other[v]}"
-        return "unclassified"
+    terms = {(m[b], m[1 - b]): c for m, c in f.terms.items()}
+    for name, fam in NORMAL_FORMS.items():
+        for k in fam.k_values(f.total_degree()):
+            if terms == dict.fromkeys(fam.monomials(k), 1):
+                return f"{name[0]}_{name[1:] if k is None else k}"  # F4: "F_4"
     return "unclassified"
 
 

@@ -30,7 +30,6 @@ from typing import Iterator, Sequence
 from .polyring import (
     Monomial,
     Polynomial,
-    check_weights,
     monomial_div,
     monomial_divides,
     monomial_key,
@@ -58,11 +57,6 @@ class LocalOrder:
             if any(x <= 0 for x in w):
                 raise ValueError("order weights must be positive")
             object.__setattr__(self, "weights", w)
-
-    def for_arity(self, arity: int) -> tuple[Fraction, ...]:
-        if self.weights is None:
-            return (Fraction(1),) * arity
-        return check_weights(self.weights, arity)
 
     def key(self, m: Monomial):
         """Sort key; the largest monomial has the smallest key."""

@@ -253,3 +253,19 @@ class TestMainInProcess:
         capsys.readouterr()
         assert cli.main(["table", "--family", "A"]) == cli.EXIT_PARSE
         assert "needs --k-max >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["isochore", "--c", "1,1", "--n", "-1"],
+            ["isochore", "--c", "1,1,1", "--n", "1", "--order", "-1"],
+            ["versal", "--F", "x^2+y^3+x*l", "--params", "x"],
+        ],
+        ids=["negative-n", "negative-order", "parameter-repeats-a-variable"],
+    )
+    def test_bad_flag_values_are_parse_errors(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
