@@ -64,11 +64,11 @@ def _context(args, params: tuple[str, ...] = ()) -> VarContext:
     """The variables of --vars, then ``params``, with --boundary marked."""
     names = tuple(s.strip() for s in args.vars.split(",") if s.strip())
     if not (names or params):
-        raise ParseError("no variables declared", 0)
+        raise ParseError("no variables declared")
     if args.boundary not in names:
-        raise ParseError(f"boundary variable {args.boundary!r} not in --vars", 0)
+        raise ParseError(f"boundary variable {args.boundary!r} not in --vars")
     if len(set(names + params)) < len(names + params):
-        raise ParseError("variable and parameter names must be distinct", 0)
+        raise ParseError("variable and parameter names must be distinct")
     return VarContext(names + params, names.index(args.boundary))
 
 
@@ -111,7 +111,7 @@ def cmd_spectrum(args) -> int:
 def _family_reports(family: str, k_max: int | None) -> list[tuple[int | None, Report]]:
     fam = corpus.NORMAL_FORMS[family]
     if fam.k_min is not None and (k_max is None or k_max < fam.k_min):
-        raise ParseError(f"family {family} needs --k-max >= {fam.k_min}", 0)
+        raise ParseError(f"family {family} needs --k-max >= {fam.k_min}")
     rows: list[tuple[int | None, Report]] = []
     for k in fam.k_values(k_max):
         f = corpus.family_normal_form(family, k)
@@ -146,9 +146,9 @@ def cmd_table(args) -> int:
 
 def cmd_isochore(args) -> int:
     if args.n < 0:
-        raise ParseError("--n must be a natural number", 0)
+        raise ParseError("--n must be a natural number")
     if args.order is not None and args.order < 0:
-        raise ParseError("--order must be a natural number", 0)
+        raise ParseError("--order must be a natural number")
     try:
         c = parse_series(args.c)
     except ParseError as e:
@@ -186,7 +186,7 @@ def cmd_isochore(args) -> int:
 def cmd_versal(args) -> int:
     params = tuple(s.strip() for s in args.params.split(",") if s.strip())
     if not params:
-        raise ParseError("no parameters declared", 0)
+        raise ParseError("no parameters declared")
     F = parse_polynomial(args.F, _context(args, params))
     d = Deformation.from_family(F, params)
     rep = versality_check(d)

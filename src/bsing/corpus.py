@@ -21,7 +21,7 @@ from .boundary import (
 )
 from .polyring import Monomial, Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
-from .standard_basis import INFINITE, LocalOrder, _certified_quotient
+from .standard_basis import INFINITE, quotient_basis, standard_basis
 
 DEFAULT_SEED = 20240
 
@@ -58,10 +58,10 @@ def boundary_corpus(
 ) -> list[BoundarySingularity]:
     """``count`` germs in 2 or 3 variables with finite mu_{f,H} <= max_mu.
 
-    Candidates are screened first (degenerate germs are the norm among
-    random polynomials and make the exact construction walk its whole cap
-    ladder): one standard basis of the boundary Jacobian ideal modulo m^9
-    must certify m^8 inside the ideal, and its staircase size is then
+    Candidates are screened first (most random germs are degenerate, and
+    building one exactly can take many runs): one standard basis of the
+    boundary Jacobian ideal modulo m^9 must find its highest corner below
+    9, certifying m^8 inside the ideal, and its staircase size is then
     mu_{f,H}.  Survivors get the exact construction.  A few mu = 0 germs
     are admitted, so ``max_mu`` must be at least 1.
     """
@@ -73,10 +73,10 @@ def boundary_corpus(
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
         f = random_germ(rng, arity, max_degree=max_degree)
-        certified = _certified_quotient(jacobian_ideal_boundary(f), LocalOrder(), 9)
-        if certified is None:
+        screen = standard_basis(jacobian_ideal_boundary(f), degree_cap=9)
+        if screen.degree_cap >= 9:
             continue
-        mu = certified[1].dimension
+        mu = quotient_basis(screen).dimension
         if mu > max_mu:
             continue
         if mu == 0:

@@ -23,10 +23,11 @@ Rat = Fraction | int
 
 
 class ParseError(ValueError):
-    """Raised on malformed polynomial or series input; carries a position."""
+    """Raised on malformed input; carries the position in the text, if any."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        suffix = "" if position is None else f" (at position {position})"
+        super().__init__(message + suffix)
         self.position = position
 
 

@@ -17,15 +17,18 @@ tail of 1 + x into staircase monomials), so full tail reduction is only
 offered by the graded engine in :mod:`bsing.quasihomog`.  Weak normal
 forms decide ideal membership against a standard basis, which is all the
 Milnor-number layer needs.
+
+Under the unweighted order :func:`standard_basis` truncates at the highest
+corner (Greuel-Pfister, section 1.7), the least D with m^D in the ideal.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polyring import (
     Monomial,
@@ -95,7 +98,7 @@ def _mora_core(
     gens: Sequence[Polynomial],
     order: LocalOrder,
     certificate: bool,
-    degree_cap: int | None = None,
+    truncate: Callable[[Polynomial], Polynomial] | None = None,
 ) -> tuple[Polynomial, list[Polynomial] | None, Polynomial | None]:
     """Shared Mora division loop.  With ``certificate`` the exact identity
     unit*p == sum(cofactors[i]*gens[i]) + remainder is tracked; without
@@ -103,10 +106,10 @@ def _mora_core(
     (intermediate results are rescaled to keep coefficients small), which
     is what the Buchberger loop and membership tests need.
 
-    ``degree_cap`` D (certificate-free use only) divides modulo m^D: ``p``
-    and every partial result lose their terms of total degree >= D.  The
-    remainder is then zero iff p lies in (gens) + m^D, provided the
-    divisors are a standard basis of that ideal modulo m^D."""
+    ``truncate`` (dropping terms of total degree >= D; only without
+    ``certificate`` may it drop any) divides modulo m^D, applied to ``p``
+    and every partial result: the remainder is then zero iff p lies in
+    (gens) + m^D, if the divisors are a standard basis of it modulo m^D."""
     ctx = p.context
     one = Polynomial.constant(ctx, 1)
     zero = Polynomial.zero(ctx)
@@ -124,8 +127,8 @@ def _mora_core(
             return Polynomial.zero(ctx), cofs, g.scale(1 / c0)
 
     h = p
-    if degree_cap is not None:
-        h = _truncate(h, degree_cap)
+    if truncate is not None:
+        h = truncate(h)
     # every tracked value v satisfies v == rep_u * p - sum(rep_c[i] * gens[i])
     h_u = one if certificate else None
     h_c = [zero] * len(gens) if certificate else None
@@ -160,8 +163,8 @@ def _mora_core(
             h_u = h_u - factor * g_u
             h_c = [a - factor * b for a, b in zip(h_c, g_c)]
         elif not h.is_zero():
-            if degree_cap is not None:
-                h = _truncate(h, degree_cap)
+            if truncate is not None:
+                h = truncate(h)
             if not h.is_zero():
                 scale = _primitive_scale(h, order)
                 if scale != 1:
@@ -192,8 +195,7 @@ def mora_normal_form(
     order = order or LocalOrder()
     if not list(divisors):
         raise ValueError("divisor list must be nonempty")
-    r, cofs, unit = _mora_core(p, list(divisors), order, certificate=True)
-    return r, cofs, unit
+    return _mora_core(p, list(divisors), order, certificate=True)
 
 
 def _spoly(
@@ -233,7 +235,8 @@ class StandardBasis:
     ``degree_cap`` D, when set, means the ideal described is
     (generators) + m^D: every monomial of total degree >= D belongs to it,
     whether or not a leading monomial divides it.  :func:`contains` and
-    :func:`quotient_basis` honour it.
+    :func:`quotient_basis` honour it.  Below a given cap, and always without
+    one, it is the highest corner: m^D lies in the ideal itself.
     """
 
     generators: tuple[Polynomial, ...]
@@ -254,9 +257,10 @@ class StandardBasis:
         m^degree_cap, inside the ideal) and divided modulo m^degree_cap."""
         if p.is_zero():
             return True
+        cap = self.degree_cap
         r, _, _ = _mora_core(
             p, self.generators, self.order, certificate=False,
-            degree_cap=self.degree_cap,
+            truncate=None if cap is None else lambda h: _truncate(h, cap),
         )
         return r.is_zero()
 
@@ -278,8 +282,17 @@ def standard_basis(
     every S-polynomial and partial remainder is truncated below degree D.
     m^D needs no generators of its own: an S-pair against a degree-D
     monomial has all its terms in degree >= D, and reducing by one is
-    truncation.  The result records the cap; it cannot be combined with
-    representation tracking.
+    truncation.  It cannot be combined with representation tracking.
+
+    Under the unweighted order without tracked representations the run
+    stops at the highest corner: once the leading monomials cover every
+    monomial of degree D (below the truncation degree if a term was
+    dropped), m^D lies in I + m^(D+1), so in I by Nakayama's lemma, and
+    the run goes on modulo m^D.  Uncapped Mora division can take minutes
+    on an ideal of small colength, so without a cap truncation starts at
+    degree 6, rising by half for a run that dropped terms and found no
+    corner below it.  The result records the corner, else ``None`` if
+    nothing was dropped (infinite colength), else the given cap.
     """
     order = order or LocalOrder()
     if degree_cap is not None and track_representations:
@@ -287,20 +300,27 @@ def standard_basis(
     if degree_cap is not None and order.weights is not None:
         raise ValueError("degree_cap needs the unweighted order")
     inputs = tuple(gens)
-    work = [g for g in gens if not g.is_zero()]
-    if not work:
+    if all(g.is_zero() for g in inputs):
         raise ValueError("standard basis of the zero ideal is not supported here")
-    ctx = work[0].context
-    zero = Polynomial.zero(ctx)
+    if order.weights is not None or track_representations or degree_cap is not None:
+        return _complete(inputs, order, track_representations, degree_cap)
+    limit = 6
+    while True:
+        sb = _complete(inputs, order, False, limit, provisional=True)
+        if sb.degree_cap != limit:
+            return sb
+        limit += limit // 2
 
-    def unit_basis(rep: list[Polynomial] | None) -> StandardBasis:
-        return StandardBasis(
-            generators=(Polynomial.constant(ctx, 1),),
-            order=order,
-            leading_monomials=((0,) * ctx.arity,),
-            inputs=inputs,
-            representations=(tuple(rep),) if rep is not None else None,
-        )
+
+def _complete(
+    inputs: tuple[Polynomial, ...], order: LocalOrder, track_representations: bool,
+    limit: int | None, provisional: bool = False,
+) -> StandardBasis:
+    """One run of :func:`standard_basis`, truncating below ``limit`` unless
+    it is ``None``.  Until a ``provisional`` limit drops a term the run is
+    exact: a corner at any degree counts, and without one no cap is set."""
+    ctx = next(g for g in inputs if not g.is_zero()).context
+    zero = Polynomial.zero(ctx)
 
     def as_unit(p: Polynomial, rep: list[Polynomial] | None) -> StandardBasis | None:
         """The ideal is everything once an element with nonzero constant
@@ -308,13 +328,18 @@ def standard_basis(
         tracking this is only expressible when the element is a pure
         constant (true for homogeneous generators, the tracked use case)."""
         c0 = p.constant_term()
-        if c0 == 0:
+        if c0 == 0 or (track_representations and p.total_degree() != 0):
             return None
-        if not track_representations:
-            return unit_basis(None)
-        if p.total_degree() == 0:
-            return unit_basis([c.scale(1 / c0) for c in rep])
-        return None
+        return StandardBasis(
+            generators=(Polynomial.constant(ctx, 1),),
+            order=order,
+            leading_monomials=((0,) * ctx.arity,),
+            inputs=inputs,
+            representations=(
+                (tuple(c.scale(1 / c0) for c in rep),) if track_representations else None
+            ),
+            degree_cap=0,
+        )
 
     basis: list[Polynomial] = []
     reps: list[list[Polynomial]] = []
@@ -336,6 +361,32 @@ def standard_basis(
         push(g, rep)
 
     lms = [leading_term(g, order)[0] for g in basis]
+    cap, exact = None, provisional  # the corner found; nothing dropped yet
+
+    def truncate(p: Polynomial) -> Polynomial:
+        nonlocal exact
+        if limit is None:
+            return p
+        q = _truncate(p, limit if cap is None else cap)
+        exact = exact and (cap is not None or len(q._terms) == len(p._terms))
+        return q
+
+    def corner() -> None:
+        """Lower the cap to the highest corner of the leading monomials and
+        truncate the elements whose leading monomial lies below it."""
+        nonlocal cap
+        # leading monomials of a run that dropped nothing are exact
+        bound = cap if cap is not None else None if exact else limit
+        stairs = None if limit is None else _staircase(lms, bound)
+        if stairs is None:
+            return
+        top = 1 + max((sum(m) for m in stairs), default=-1)
+        if bound is None or top < bound:
+            cap = top
+            basis[:] = [_truncate(g, top) if sum(lm) < top else g
+                        for g, lm in zip(basis, lms)]
+
+    corner()
 
     def pair_key(i: int, j: int):
         return order.key(monomial_lcm(lms[i], lms[j]))
@@ -364,14 +415,11 @@ def standard_basis(
             for k in range(len(basis))
         ):
             continue
-        sp = _spoly(basis[i], basis[j], order)
-        if degree_cap is not None:
-            sp = _truncate(sp, degree_cap)
+        sp = truncate(_spoly(basis[i], basis[j], order))
         if sp.is_zero():
             continue
         r, cofs, unit = _mora_core(
-            sp, basis, order, certificate=track_representations,
-            degree_cap=degree_cap,
+            sp, basis, order, certificate=track_representations, truncate=truncate,
         )
         if r.is_zero():
             continue
@@ -398,10 +446,10 @@ def standard_basis(
         lms.append(leading_term(basis[k], order)[0])
         for t in range(k):
             heapq.heappush(queue, (pair_key(t, k), t, k))
+        corner()
 
     # minimalize: drop elements whose leading monomial is divisible by
     # another's (the leading ideal, hence the staircase, is unchanged)
-    lms = [leading_term(g, order)[0] for g in basis]
     keep = []
     for i, lm in enumerate(lms):
         dominated = any(
@@ -421,67 +469,17 @@ def standard_basis(
         leading_monomials=tuple(kept_lms),
         inputs=inputs,
         representations=kept_reps,
-        degree_cap=degree_cap,
+        degree_cap=cap if cap is not None or exact else limit,
     )
-
-
-def _cap_schedule(arity: int) -> list[int]:
-    # staircases in one or two variables can be long chains (mu up to the
-    # corpus bound), so the schedule reaches further there
-    if arity <= 2:
-        return [4, 6, 8, 10, 12, 14, 16, 20, 26, 34, 44, 54]
-    return [4, 6, 8, 10, 12, 14, 16, 18]
 
 
 def staircase_quotient(
     gens: Sequence[Polynomial], order: LocalOrder | None = None
 ) -> tuple["StandardBasis", "LocalAlgebra"]:
-    """Standard basis and staircase of the localized ideal, using certified
-    degree caps.
-
-    For a rising schedule of caps D, the standard basis of I + m^D is
-    computed modulo m^D by truncation alone (no generators for m^D, see
-    :func:`standard_basis`).  When the staircase of I + m^D has no
-    monomial of degree D-1, every monomial of degree D-1 lies in the
-    leading ideal.  Then I + m^(D-1) and its subideal I + m^D have the
-    same leading ideal, so they are equal: m^(D-1) lies in I + m*m^(D-1),
-    and Nakayama's lemma gives m^(D-1) inside I.  The computed generators
-    are then a standard basis of I itself, and the result is returned at
-    once with cap D-1.
-
-    A cap that fails is rejected as soon as the staircase enumeration
-    reaches its first standard monomial of degree D-1; only the certified
-    cap, and the uncapped path, build and sort the :class:`LocalAlgebra`.
-    Ideals that no cap certifies (e.g. non-isolated singularities), and
-    orders that do not refine total degree, take the uncapped computation.
-    """
-    order = order or LocalOrder()
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        raise ValueError("standard basis of the zero ideal is not supported here")
-    arity = live[0].context.arity
-    if arity > 0 and order.weights is None:
-        for cap in _cap_schedule(arity):
-            certified = _certified_quotient(live, order, cap)
-            if certified is not None:
-                sb, algebra = certified
-                return replace(sb, inputs=tuple(gens)), algebra
-    sb = standard_basis(live, order)
-    return sb, quotient_basis(sb)
-
-
-def _certified_quotient(
-    gens: Sequence[Polynomial], order: LocalOrder, cap: int
-) -> tuple[StandardBasis, "LocalAlgebra"] | None:
-    """One cap of :func:`staircase_quotient`: the standard basis of
-    (gens) + m^cap modulo m^cap, recorded with cap-1, and its quotient when
-    its staircase has no monomial of degree cap-1, i.e. exactly when
-    m^(cap-1) lies in the ideal; ``None`` otherwise.  Unweighted orders
-    only."""
-    sb = standard_basis(gens, order, degree_cap=cap)
-    if any(sum(m) == cap - 1 for m in _staircase(sb)):
-        return None
-    sb = replace(sb, degree_cap=cap - 1)
+    """Standard basis and staircase of the localized ideal: one call of
+    :func:`standard_basis`, which records the highest corner as
+    ``degree_cap`` (``None`` for infinite colength and weighted orders)."""
+    sb = standard_basis(gens, order)
     return sb, quotient_basis(sb)
 
 
@@ -497,11 +495,11 @@ class LocalAlgebra:
         return self.dimension != INFINITE
 
 
-def _staircase(sb: StandardBasis) -> Iterator[Monomial] | None:
-    """The standard monomials of ``sb`` (outside its leading ideal, and of
-    degree below ``sb.degree_cap`` when set); ``None`` when there are
-    infinitely many, i.e. with no cap some variable has no pure power among
-    the leading monomials.
+def _staircase(lms: Sequence[Monomial], cap: int | None) -> Iterator[Monomial] | None:
+    """The standard monomials of the leading monomials ``lms`` (outside
+    their ideal, and of degree below ``cap`` when set); ``None`` when there
+    are infinitely many, i.e. with no cap some variable has no pure power
+    among them.
 
     The walk fixes one exponent at a time.  At depth i it keeps the leading
     monomials that divide the prefix in the first i variables; the exponent
@@ -513,7 +511,6 @@ def _staircase(sb: StandardBasis) -> Iterator[Monomial] | None:
     each branch yields its monomial of highest degree first; callers that
     need an order sort.
     """
-    lms = sb.leading_monomials
     if not lms:
         return None
     arity = len(lms[0])
@@ -521,8 +518,8 @@ def _staircase(sb: StandardBasis) -> Iterator[Monomial] | None:
     tagged = [(lm, max((i for i, e in enumerate(lm) if e), default=-1)) for lm in lms]
     if any(last < 0 for _, last in tagged):
         return iter(())  # 1 is leading: the quotient is zero
-    if sb.degree_cap is not None:
-        budget = sb.degree_cap - 1
+    if cap is not None:
+        budget = cap - 1
     else:
         pures = [[lm[i] for lm, last in tagged if last == i and not any(lm[:i])]
                  for i in range(arity)]
@@ -558,7 +555,7 @@ def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     counts as leading (the ideal contains m^D), so the complement is
     always finite.
     """
-    monomials = _staircase(sb)
+    monomials = _staircase(sb.leading_monomials, sb.degree_cap)
     if monomials is None:
         return LocalAlgebra((), INFINITE)
     basis = sorted(monomials, key=monomial_key)

@@ -17,10 +17,10 @@ from bsing.corpus import boundary_corpus, random_germ
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
 from bsing.standard_basis import (
     INFINITE,
-    LocalOrder,
-    _certified_quotient,
     jet_dimension_oracle,
+    quotient_basis,
     staircase_quotient,
+    standard_basis,
 )
 
 XY = VarContext(("x", "y"), 0)
@@ -154,9 +154,9 @@ class TestCorpusProperties:
 
 class TestCorpusScreen:
     def test_cap9_certificate_matches_the_jet_oracle(self):
-        # the corpus screen: one standard basis modulo m^9 that certifies
-        # m^8 inside the boundary Jacobian ideal, against the jet oracle
-        # stabilizing by N = 9
+        # the corpus screen: one standard basis modulo m^9 whose highest
+        # corner, below 9, certifies m^8 inside the boundary Jacobian ideal,
+        # against the jet oracle stabilizing by N = 9
         rng = random.Random(4)
         candidates = [random_germ(rng, 2 if i % 3 else 3) for i in range(1000)]
         # finite mu_{f,H} above 40 lies beyond m^8: both must refuse it
@@ -166,13 +166,14 @@ class TestCorpusScreen:
         kinds = Counter()
         for f in candidates + beyond:
             gens = jacobian_ideal_boundary(f)
-            certified = _certified_quotient(gens, LocalOrder(), 9)
-            screen = INFINITE if certified is None else certified[1].dimension
+            sb = standard_basis(gens, degree_cap=9)
+            algebra = quotient_basis(sb)
+            screen = algebra.dimension if sb.degree_cap < 9 else INFINITE
             assert screen == jet_dimension_oracle(gens, 9), str(f)
-            if certified is not None:
-                sb, algebra = certified
-                assert sb.degree_cap == 8
-                assert all(sum(m) < 8 for m in algebra.basis_monomials)
+            if screen != INFINITE:
+                # the corner is the least degree above the staircase
+                top = max((sum(m) for m in algebra.basis_monomials), default=-1)
+                assert sb.degree_cap == top + 1 <= 8, str(f)
             kinds["refused" if screen == INFINITE else "zero" if screen == 0 else "finite"] += 1
         assert min(kinds["refused"], kinds["zero"], kinds["finite"]) >= 100, kinds
 

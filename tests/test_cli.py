@@ -260,8 +260,12 @@ class TestMainInProcess:
             ["isochore", "--c", "1,1", "--n", "-1"],
             ["isochore", "--c", "1,1,1", "--n", "1", "--order", "-1"],
             ["versal", "--F", "x^2+y^3+x*l", "--params", "x"],
+            ["milnor", "--f", "x^2", "--boundary", "z"],
+            ["versal", "--F", "x^2+y^3", "--params", ""],
+            ["table", "--family", "B", "--k-max", "1"],
         ],
-        ids=["negative-n", "negative-order", "parameter-repeats-a-variable"],
+        ids=["negative-n", "negative-order", "parameter-repeats-a-variable",
+             "boundary-not-a-variable", "no-parameters", "k-max-below-family"],
     )
     def test_bad_flag_values_are_parse_errors(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_PARSE
@@ -269,3 +273,5 @@ class TestMainInProcess:
         assert out == ""
         assert err.startswith("parse error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        # a flag has no text position to point at
+        assert "(at position" not in err

@@ -229,8 +229,8 @@ def deformation_of(bs, term):
 @pytest.fixture
 def builds(monkeypatch):
     """Kinds of weighted standard bases built, in order, counted through
-    quasihomog.standard_basis (the germ's own unweighted ladder runs in
-    bsing.boundary and is not counted)."""
+    quasihomog.standard_basis (the germ's own unweighted bases are built
+    in bsing.boundary and are not counted)."""
     calls = []
     real = quasihomog.standard_basis
 

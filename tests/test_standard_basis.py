@@ -25,6 +25,7 @@ from bsing.standard_basis import (
     staircase_quotient,
     standard_basis,
 )
+from untruncated import untruncated_basis
 
 XY = VarContext(("x", "y"), 0)
 XYZ = VarContext(("x", "y", "z"), 0)
@@ -49,6 +50,17 @@ class TestLocalOrder:
         order = LocalOrder()
         assert order.key((0, 0)) < order.key((1, 0))
         assert order.key((0, 0)) < order.key((0, 5))
+
+    def test_unit_weights_sort_like_the_unweighted_order(self):
+        # the untruncated reference bases of the tests rely on this
+        rng = random.Random(7)
+        for arity in (1, 2, 3):
+            monomials = [
+                tuple(rng.randint(0, 6) for _ in range(arity)) for _ in range(200)
+            ]
+            plain, unit = LocalOrder(), LocalOrder((1,) * arity)
+            assert sorted(monomials, key=plain.key) == sorted(monomials, key=unit.key)
+            assert all(plain.key(m) == unit.key(m) for m in monomials)
 
     def test_revlex_tie_break_prefers_x(self):
         # same degree: x beats y, so LT(x + y) = x
@@ -223,7 +235,8 @@ class TestStaircaseQuotient:
     def test_certified_cap_agrees_with_uncapped(self):
         gens = [poly("x^3 - y^4"), poly("x*y^2 + x^4")]
         sb_fast, alg_fast = staircase_quotient(gens)
-        sb_slow = standard_basis(gens)
+        sb_slow = untruncated_basis(gens)
+        assert sb_fast.degree_cap is not None and sb_slow.degree_cap is None
         assert sorted(alg_fast.basis_monomials) == sorted(
             quotient_basis(sb_slow).basis_monomials
         )
@@ -249,8 +262,8 @@ class TestStaircaseQuotient:
                 continue
             sb_fast, alg_fast = staircase_quotient(gens)
             if sb_fast.degree_cap is None:
-                continue  # no cap certified: this was the uncapped path itself
-            alg_slow = quotient_basis(standard_basis(gens))
+                continue  # no corner: this was the uncapped path itself
+            alg_slow = quotient_basis(untruncated_basis(gens))
             assert alg_fast.basis_monomials == alg_slow.basis_monomials, [
                 str(g) for g in gens
             ]
@@ -258,7 +271,7 @@ class TestStaircaseQuotient:
 
     def test_certified_basis_spans_the_cap_degree(self):
         # J_(f,H) of x^4+y^5+z^6 is (x^4, y^4, z^5): its staircase reaches
-        # degree 3+3+4 = 10, so cap 12 is the first to certify m^11
+        # degree 3+3+4 = 10, so the highest corner is 11
         gens = jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ))
         sb, alg = staircase_quotient(gens)
         assert sb.degree_cap == 11 and alg.dimension == 80
@@ -266,7 +279,9 @@ class TestStaircaseQuotient:
             if sum(m) == 11:
                 assert any(monomial_divides(lm, m) for lm in sb.leading_monomials), m
 
-    def test_cap_ladder_call_count(self, monkeypatch):
+    def test_one_standard_basis_call_per_ideal(self, monkeypatch):
+        # one standard_basis call per ideal, with no cap given: it records
+        # the highest corner when there is one, and None when there is none
         calls = []
         real = sb_module.standard_basis
 
@@ -275,8 +290,43 @@ class TestStaircaseQuotient:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sb_module, "standard_basis", counting)
-        staircase_quotient(jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ)))
-        assert calls == [4, 6, 8, 10, 12]
+        sb, alg = staircase_quotient(jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ)))
+        assert calls == [None]
+        assert sb.degree_cap == 11 and alg.dimension == 80
+        calls.clear()
+        sb, alg = staircase_quotient([poly("x^2")])
+        assert calls == [None]
+        assert sb.degree_cap is None and alg.dimension == INFINITE
+
+    def test_truncation_degree_rises_until_a_corner_or_an_exact_run(self, monkeypatch):
+        # without a cap each run truncates below a provisional degree 6, 9,
+        # 13, ...; it is repeated while it drops terms and finds no corner
+        # below that degree.  Uncapped Mora division on the first ideal (the
+        # boundary Jacobian ideal of a germ of boundary_corpus(seed=24))
+        # runs for minutes; the last ideal drops nothing and is exact.
+        limits = []
+        real = sb_module._complete
+
+        def recording(inputs, order, track, limit, provisional=False):
+            limits.append(limit)
+            return real(inputs, order, track, limit, provisional)
+
+        monkeypatch.setattr(sb_module, "_complete", recording)
+        cases = [
+            (poly("x*z + y^3*z + y^2*z^2 + x^3*y*z + z^5 - y^6", XYZ), [6, 9], 8, 15),
+            (poly("x^4*y^4 + x^9 + y^9"), [6, 9, 13, 19], 15, 63),
+            (poly("x^4*y^4"), [6], None, INFINITE),
+        ]
+        for f, want_limits, corner, mu in cases:
+            limits.clear()
+            gens = jacobian_ideal_boundary(f)
+            sb, alg = staircase_quotient(gens)
+            assert limits == want_limits, str(f)
+            assert sb.degree_cap == corner and alg.dimension == mu, str(f)
+            if corner is not None:
+                assert jet_dimension_oracle(gens, corner + 1) == mu, str(f)
+                top = max(sum(m) for m in alg.basis_monomials)
+                assert top + 1 == corner, str(f)
 
     def test_uncertified_cap_describes_ideal_plus_cap_power(self):
         # modulo m^4 the ideal (x^4, y^4, z^5) is all of m^4 although no
@@ -300,8 +350,8 @@ class TestStaircaseQuotient:
             standard_basis(gens, order, degree_cap=8)
 
     def test_non_isolated_boundary_germ(self):
-        # every cap of the ladder fails, each at its first top-degree
-        # monomial, before the uncapped path reports the infinite quotients
+        # no highest corner appears: runs that drop no term report the
+        # infinite quotients
         germs = ["x^2*y^2", "x^2*y^3", "x^3*y^2", "x*y^3", "x^3*y^3", "x^2*y^4",
                  "x^4*y^2", "x^4*y^4"]
         cases = [poly(f) for f in germs] + [poly("y^2*z^2+x^3", XYZ)]
@@ -339,13 +389,15 @@ class TestJetOracle:
             checked += 1
 
     def test_high_degree_membership_under_the_certified_cap(self):
-        # a (7,9)-type germ: its staircase reaches degree 13 and cap 16
-        # certifies m^15; multipliers of degree up to 10 take the members
-        # past the cap, where contains truncates
+        # a (7,9)-type germ: its staircase reaches degree 14 (x*y^13), so
+        # the highest corner certifies m^15; multipliers of degree up to 10
+        # take the members past the cap, where contains truncates
         gens = jacobian_ideal_boundary(poly("-2*x^7 - 2*x^5*y^3 - 3*y^9 - x^6*y^4"))
         sb, alg = staircase_quotient(gens)
         assert sb.degree_cap == 15 and alg.dimension == 56
-        uncapped = standard_basis(gens)
+        assert max(sum(m) for m in alg.basis_monomials) == 14
+        uncapped = untruncated_basis(gens)
+        assert uncapped.degree_cap is None
         rng = random.Random(79)
 
         def multiplier():
