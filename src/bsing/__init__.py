@@ -67,7 +67,6 @@ from .standard_basis import (
     jet_membership_oracle,
     mora_normal_form,
     quotient_basis,
-    standard_basis,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "series_rational_power",
     "spectrum",
     "spectrum_splitting_check",
-    "standard_basis",
     "verify_ode_residual",
     "versality_check",
     "weighted_degree",

@@ -99,29 +99,22 @@ class BoundarySingularity:
         self.sb_boundary, self.algebra_boundary = _quotient_of(
             self.boundary_gens, order
         )
-        self.ambient_gens = jacobian_ideal(f)
-        self.sb_ambient, self.algebra_ambient = _quotient_of(
-            self.ambient_gens, order
-        )
-        self.restriction = restrict_to_boundary(f)
-        if self.restriction.is_zero():
-            self.restriction_gens = []
-            self.sb_restriction = None
-            arity = self.restriction.context.arity
-            self.algebra_restriction = (
-                LocalAlgebra(((),), 1) if arity == 0 else LocalAlgebra((), INFINITE)
-            )
-        else:
-            self.restriction_gens = jacobian_ideal(self.restriction)
-            self.sb_restriction, self.algebra_restriction = _quotient_of(
-                self.restriction_gens, order
-            )
-
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
             raise NonIsolatedError(
                 "boundary Milnor number is infinite; "
                 "pass allow_non_isolated=True to inspect anyway"
             )
+        self.ambient_gens = jacobian_ideal(f)
+        self.sb_ambient, self.algebra_ambient = _quotient_of(
+            self.ambient_gens, order
+        )
+        self.restriction = restrict_to_boundary(f)
+        # a zero restriction has only zero generators (none in arity 0), for
+        # which _quotient_of gives the point algebra or the infinite marker
+        self.restriction_gens = jacobian_ideal(self.restriction)
+        self.sb_restriction, self.algebra_restriction = _quotient_of(
+            self.restriction_gens, order
+        )
         self._graded_engines: dict = {}
 
     @cached_property

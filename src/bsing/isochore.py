@@ -64,6 +64,13 @@ def verify_ode_residual(c: PowerSeries1, w: PowerSeries1, n: int) -> bool:
     return (lhs - c).is_zero()
 
 
+def _at_zero(p: Polynomial, params: Sequence[str], ctx: VarContext) -> Polynomial:
+    """p with every parameter set to zero, over the germ context ``ctx``."""
+    for q in params:
+        p = p.substitute_zero(p.context.index(q))
+    return Polynomial(ctx, p.terms)
+
+
 @dataclass(frozen=True)
 class Deformation:
     """A polynomial family F over variables plus parameters, with its base
@@ -79,10 +86,7 @@ class Deformation:
             raise ValueError("parameters must be distinct")
         if any(p not in names for p in self.parameters):
             raise ValueError("parameters must belong to the family context")
-        at_zero = self.F
-        for p in self.parameters:
-            at_zero = at_zero.substitute_zero(at_zero.context.index(p))
-        if Polynomial(self.base.ctx, at_zero.terms) != self.base.f:
+        if _at_zero(self.F, self.parameters, self.base.ctx) != self.base.f:
             raise ValueError("family does not restrict to the base germ")
 
     @classmethod
@@ -99,31 +103,24 @@ class Deformation:
         for p in params:
             if p not in ctx.names:
                 raise ValueError(f"parameter {p!r} not in the family context")
-        base_poly = F
-        for p in sorted(params, key=lambda s: -ctx.names.index(s)):
-            base_poly = base_poly.substitute_zero(base_poly.context.index(p))
         var_names = tuple(s for s in ctx.names if s not in params)
         if ctx.boundary_index is None or ctx.names[ctx.boundary_index] in params:
             raise ValueError("boundary variable must be a germ variable")
         boundary = var_names.index(ctx.names[ctx.boundary_index])
         base_ctx = VarContext(var_names, boundary)
         base = BoundarySingularity(
-            Polynomial(base_ctx, base_poly.terms),
-            allow_non_isolated=allow_non_isolated,
+            _at_zero(F, params, base_ctx), allow_non_isolated=allow_non_isolated
         )
         return cls(F, params, base)
 
     def velocities(self) -> list[Polynomial]:
         """dF/d(lambda_i) at lambda = 0, one polynomial over the germ
         variables per parameter."""
-        out = []
         ctx = self.F.context
-        for p in self.parameters:
-            v = self.F.partial_derivative(ctx.index(p))
-            for q in sorted(self.parameters, key=lambda s: -v.context.names.index(s)):
-                v = v.substitute_zero(v.context.index(q))
-            out.append(Polynomial(self.base.ctx, v.terms))
-        return out
+        return [
+            _at_zero(self.F.partial_derivative(ctx.index(p)), self.parameters, self.base.ctx)
+            for p in self.parameters
+        ]
 
 
 @dataclass(frozen=True)

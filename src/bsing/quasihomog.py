@@ -354,9 +354,11 @@ class _GradedStructure:
     weighted standard basis is built first (``spectrum`` builds an
     untracked one) and must have mu_{f,H} monomials; a basis built later
     must give the same staircase.  Per generator order, ``tracked`` builds
-    a tracked basis with homogenized representations, through which
-    ``graded_decompose`` splits homogeneous parts exactly into staircase +
-    cofactors of the original Jacobian generators.  ``ordinary_spectra``
+    a tracked basis whose elements carry homogenized representations over
+    the inputs, the canonical Jacobian generators.  ``graded_decompose``
+    splits homogeneous parts exactly into staircase + cofactors of those
+    inputs: each division step adds factor * representation straight into
+    the cofactors, the same rule as Mora division.  ``ordinary_spectra``
     keeps the ordinary spectra of f and f|H that the splitting law compares
     against.  A failed check raises :class:`CertificateError` and caches
     nothing.
@@ -463,30 +465,25 @@ class _GradedStructure:
         the reducers of one tracked basis.  Plain division within a fixed
         weighted degree always terminates."""
         rem: dict[Monomial, Fraction] = {}
-        cof_sb = [Polynomial.zero(self.ctx) for _ in reducers]
+        cof = [Polynomial.zero(self.ctx) for _ in self.jac]
         work = part
         while not work.is_zero():
             lm, lc = leading_term(work, self.order)
-            for k, (lm_g, lc_g, g, _) in enumerate(reducers):
+            for lm_g, lc_g, g, row in reducers:
                 if monomial_divides(lm_g, lm):
                     factor = Polynomial.monomial(
                         self.ctx, tuple(a - b for a, b in zip(lm, lm_g)), lc / lc_g
                     )
                     work = work - factor * g
-                    cof_sb[k] = cof_sb[k] + factor
+                    for j, r in enumerate(row):
+                        if not r.is_zero():
+                            cof[j] = cof[j] + factor * r
                     break
             else:
                 if lm not in self.slot:
                     raise CertificateError("non-staircase monomial escaped division")
                 rem[lm] = rem.get(lm, Fraction(0)) + lc
                 work = work - Polynomial.monomial(self.ctx, lm, lc)
-        cof = [Polynomial.zero(self.ctx) for _ in self.jac]
-        for a, (_, _, _, row) in zip(cof_sb, reducers):
-            if a.is_zero():
-                continue
-            for j, r in enumerate(row):
-                if not r.is_zero():
-                    cof[j] = cof[j] + a * r
         rem = {m: c for m, c in rem.items() if c != 0}
         recomposed = Polynomial(self.ctx, rem)
         for j, g in enumerate(self.jac):

@@ -97,71 +97,60 @@ def _mora_core(
     p: Polynomial,
     gens: Sequence[Polynomial],
     order: LocalOrder,
-    certificate: bool,
+    reps: tuple[list[Polynomial], Sequence[list[Polynomial]]] | None = None,
     truncate: Callable[[Polynomial], Polynomial] | None = None,
-) -> tuple[Polynomial, list[Polynomial] | None, Polynomial | None]:
-    """Shared Mora division loop.  With ``certificate`` the exact identity
-    unit*p == sum(cofactors[i]*gens[i]) + remainder is tracked; without
-    it the remainder is only guaranteed up to a nonzero rational multiple
-    (intermediate results are rescaled to keep coefficients small), which
-    is what the Buchberger loop and membership tests need.
+) -> tuple[Polynomial, list[Polynomial] | None]:
+    """Shared Mora division loop; returns ``(remainder, representation)``.
+
+    ``reps = (rep_p, rep_gens)`` writes ``p`` and each divisor over one
+    fixed list of inputs: v == sum(rep[t] * inputs[t]).  Every value of the
+    loop, the partial results that join the reducers included, carries its
+    representation and updates it in the same step as itself, so the
+    remainder's is exact.  Without ``reps`` the remainder is only
+    guaranteed up to a nonzero rational multiple (partial results are
+    rescaled to keep coefficients small), which is what the Buchberger loop
+    and membership tests need.
 
     ``truncate`` (dropping terms of total degree >= D; only without
-    ``certificate`` may it drop any) divides modulo m^D, applied to ``p``
-    and every partial result: the remainder is then zero iff p lies in
+    ``reps`` may it drop any) divides modulo m^D, applied to ``p`` and
+    every partial result: the remainder is then zero iff p lies in
     (gens) + m^D, if the divisors are a standard basis of it modulo m^D."""
     ctx = p.context
-    one = Polynomial.constant(ctx, 1)
-    zero = Polynomial.zero(ctx)
 
     # a divisor with nonzero constant term is a unit of the local ring:
-    # (g_i/c) * p == (p/c) * g_i + 0 is an exact certificate, and naive
-    # division by such a divisor would wander for a very long time
+    # (g_i/c) * p - (p/c) * g_i == 0, and naive division by such a divisor
+    # would wander for a very long time
     for i, g in enumerate(gens):
         c0 = g.constant_term()
         if c0 != 0:
-            if not certificate:
-                return Polynomial.zero(ctx), None, None
-            cofs = [zero] * len(gens)
-            cofs[i] = p.scale(1 / c0)
-            return Polynomial.zero(ctx), cofs, g.scale(1 / c0)
+            if reps is None:
+                return Polynomial.zero(ctx), None
+            u, q = g.scale(1 / c0), p.scale(1 / c0)
+            return Polynomial.zero(ctx), [
+                u * a - q * b for a, b in zip(reps[0], reps[1][i])
+            ]
 
-    h = p
-    if truncate is not None:
-        h = truncate(h)
-    # every tracked value v satisfies v == rep_u * p - sum(rep_c[i] * gens[i])
-    h_u = one if certificate else None
-    h_c = [zero] * len(gens) if certificate else None
-    reducers: list[tuple] = []
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        lm, lc = leading_term(g, order)
-        if certificate:
-            cof = [zero] * len(gens)
-            cof[i] = Polynomial.constant(ctx, -1)
-        else:
-            cof = None
-        reducers.append((g, lm, lc, ecart(g, order), zero, cof, i))
-
+    h = p if truncate is None else truncate(p)
+    h_rep = None if reps is None else reps[0]
+    reducers = [
+        (g, *leading_term(g, order), ecart(g, order), None if reps is None else reps[1][i])
+        for i, g in enumerate(gens)
+        if not g.is_zero()
+    ]
     while not h.is_zero():
         lm_h, lc_h = leading_term(h, order)
         usable = [r for r in reducers if monomial_divides(r[1], lm_h)]
         if not usable:
             break
         e_h = ecart(h, order)
-        t = min(usable, key=lambda r: (r[3], 1 if r[6] < 0 else 0, abs(r[6])))
-        if t[3] > e_h:
-            reducers.append(
-                (h, lm_h, lc_h, e_h, h_u, list(h_c) if certificate else None,
-                 -1 - len(reducers))
-            )
-        g, lm_g, lc_g, _, g_u, g_c, _ = t
+        # least ecart; ties go to the earliest reducer, divisors first
+        g, lm_g, lc_g, e_g, g_rep = min(usable, key=lambda r: r[3])
+        if e_g > e_h:
+            reducers.append((h, lm_h, lc_h, e_h, h_rep))
         factor = Polynomial.monomial(ctx, monomial_div(lm_h, lm_g), lc_h / lc_g)
         h = h - factor * g
-        if certificate:
-            h_u = h_u - factor * g_u
-            h_c = [a - factor * b for a, b in zip(h_c, g_c)]
+        if reps is not None:
+            h_rep = [a - factor * b for a, b in zip(h_rep, g_rep)]
         elif not h.is_zero():
             if truncate is not None:
                 h = truncate(h)
@@ -169,10 +158,7 @@ def _mora_core(
                 scale = _primitive_scale(h, order)
                 if scale != 1:
                     h = h.scale(scale)
-
-    # with certificate: v == u*p - sum(c_i g_i) throughout, so at the end
-    # h_u * p == sum(h_c[i] * gens[i]) + h
-    return h, h_c, h_u
+    return h, h_rep
 
 
 def mora_normal_form(
@@ -193,9 +179,14 @@ def mora_normal_form(
     local ring.
     """
     order = order or LocalOrder()
-    if not list(divisors):
+    divisors = list(divisors)
+    if not divisors:
         raise ValueError("divisor list must be nonempty")
-    return _mora_core(p, list(divisors), order, certificate=True)
+    # inputs (p, divisors...): the remainder is rep[0]*p + sum(rep[1+i]*divisors[i])
+    n = len(divisors) + 1
+    e = [[Polynomial.constant(p.context, int(t == k)) for t in range(n)] for k in range(n)]
+    r, rep = _mora_core(p, divisors, order, reps=(e[0], e[1:]))
+    return r, [-c for c in rep[1:]], rep[0]
 
 
 def _spoly(
@@ -230,7 +221,8 @@ class StandardBasis:
     """Standard basis of a local ideal with its leading-term staircase.
 
     ``representations``, when tracked, expresses each basis element in the
-    original generators: generators[i] == sum_j representations[i][j] * inputs[j].
+    generators ``gens`` given to :func:`standard_basis`:
+    generators[i] == sum_j representations[i][j] * gens[j].
 
     ``degree_cap`` D, when set, means the ideal described is
     (generators) + m^D: every monomial of total degree >= D belongs to it,
@@ -242,14 +234,8 @@ class StandardBasis:
     generators: tuple[Polynomial, ...]
     order: LocalOrder
     leading_monomials: tuple[Monomial, ...]
-    inputs: tuple[Polynomial, ...] = ()
     representations: tuple[tuple[Polynomial, ...], ...] | None = None
     degree_cap: int | None = None
-
-    def reduce(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial], Polynomial]:
-        """Exact weak normal form against the generators (see
-        :func:`mora_normal_form`); it does not truncate at ``degree_cap``."""
-        return mora_normal_form(p, self.generators, self.order)
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of ``p`` in the ideal.  With ``degree_cap`` set, p is
@@ -258,8 +244,8 @@ class StandardBasis:
         if p.is_zero():
             return True
         cap = self.degree_cap
-        r, _, _ = _mora_core(
-            p, self.generators, self.order, certificate=False,
+        r, _ = _mora_core(
+            p, self.generators, self.order,
             truncate=None if cap is None else lambda h: _truncate(h, cap),
         )
         return r.is_zero()
@@ -334,7 +320,6 @@ def _complete(
             generators=(Polynomial.constant(ctx, 1),),
             order=order,
             leading_monomials=((0,) * ctx.arity,),
-            inputs=inputs,
             representations=(
                 (tuple(c.scale(1 / c0) for c in rep),) if track_representations else None
             ),
@@ -418,26 +403,16 @@ def _complete(
         sp = truncate(_spoly(basis[i], basis[j], order))
         if sp.is_zero():
             continue
-        r, cofs, unit = _mora_core(
-            sp, basis, order, certificate=track_representations, truncate=truncate,
-        )
-        if r.is_zero():
-            continue
-        r_rep = None
+        sp_reps = None
         if track_representations:
             lc_i = basis[i].coefficient(lms[i])
             lc_j = basis[j].coefficient(lms[j])
             fa = Polynomial.monomial(ctx, monomial_div(lcm_ij, lms[i]), 1 / lc_i)
             fb = Polynomial.monomial(ctx, monomial_div(lcm_ij, lms[j]), 1 / lc_j)
-            sp_rep = [fa * a - fb * b for a, b in zip(reps[i], reps[j])]
-            # r == unit * sp - sum(cofs[k] * basis[k])
-            r_rep = []
-            for t in range(len(inputs)):
-                acc = unit * sp_rep[t]
-                for k in range(len(basis)):
-                    if not cofs[k].is_zero():
-                        acc = acc - cofs[k] * reps[k][t]
-                r_rep.append(acc)
+            sp_reps = ([fa * a - fb * b for a, b in zip(reps[i], reps[j])], reps)
+        r, r_rep = _mora_core(sp, basis, order, reps=sp_reps, truncate=truncate)
+        if r.is_zero():
+            continue
         shortcut = as_unit(r, r_rep)
         if shortcut is not None:
             return shortcut
@@ -467,7 +442,6 @@ def _complete(
         generators=tuple(kept),
         order=order,
         leading_monomials=tuple(kept_lms),
-        inputs=inputs,
         representations=kept_reps,
         degree_cap=cap if cap is not None or exact else limit,
     )

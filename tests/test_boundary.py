@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bsing.boundary as boundary_module
 from bsing.boundary import (
     BoundarySingularity,
     InvalidGermError,
@@ -93,6 +94,20 @@ class TestMilnorNumbers:
     def test_non_isolated_rejected_by_default(self):
         with pytest.raises(NonIsolatedError):
             bsing("x")
+
+    def test_non_isolated_raises_after_the_boundary_basis(self, monkeypatch):
+        # a rejected germ builds no ambient or restriction basis
+        calls = []
+        real = boundary_module.staircase_quotient
+
+        def counting(gens, order=None):
+            calls.append(gens)
+            return real(gens, order)
+
+        monkeypatch.setattr(boundary_module, "staircase_quotient", counting)
+        with pytest.raises(NonIsolatedError, match="boundary Milnor number is infinite"):
+            bsing("x*y^2 + y^3")
+        assert len(calls) == 1
 
     def test_non_isolated_markers(self):
         bs = bsing("x", allow_non_isolated=True)

@@ -1,10 +1,11 @@
-import importlib
+import inspect
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import bsing.standard_basis as sb_module
 from bsing.boundary import BoundarySingularity, jacobian_ideal_boundary, milnor_numbers
 from bsing.polyring import (
     Polynomial,
@@ -29,8 +30,6 @@ from untruncated import untruncated_basis
 
 XY = VarContext(("x", "y"), 0)
 XYZ = VarContext(("x", "y", "z"), 0)
-# the module itself: the package attribute of that name is the function
-sb_module = importlib.import_module("bsing.standard_basis")
 
 
 def poly(s: str, ctx=XY) -> Polynomial:
@@ -43,6 +42,12 @@ def random_poly(rng, ctx=XY, max_deg=4, terms=4):
         m = tuple(rng.randint(0, max_deg) for _ in range(ctx.arity))
         out[m] = Fraction(rng.randint(-5, 5))
     return Polynomial(ctx, out)
+
+
+def test_package_attribute_is_the_module():
+    import bsing
+
+    assert inspect.ismodule(bsing.standard_basis)
 
 
 class TestLocalOrder:
@@ -161,14 +166,30 @@ class TestStandardBasis:
             assert sb.contains(g)
 
     def test_representation_tracking(self):
-        gens = [poly("x*y"), poly("x + 3*y^2")]
-        sb = standard_basis(gens, track_representations=True)
-        assert sb.representations is not None
-        for g, rep in zip(sb.generators, sb.representations):
-            acc = Polynomial.zero(XY)
-            for c, src in zip(rep, gens):
-                acc = acc + c * src
-            assert acc == g
+        # besides the fixed ideal, 60 seeded non-homogeneous ones of degree
+        # <= 3; in a few of them (4 with this seed) a partial result of
+        # Mora division joins the reducers and carries its representation
+        rng = random.Random(1)
+        ideals = [[poly("x*y"), poly("x + 3*y^2")]]
+        for _ in range(60):
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    m = (rng.randint(0, 3), rng.randint(0, 3))
+                    if 1 <= sum(m) <= 3:
+                        terms[m] = Fraction(rng.randint(-5, 5))
+                gens.append(Polynomial(XY, terms))
+            if not all(g.is_zero() for g in gens):
+                ideals.append(gens)
+        for gens in ideals:
+            sb = standard_basis(gens, track_representations=True)
+            assert sb.representations is not None
+            for g, rep in zip(sb.generators, sb.representations):
+                acc = Polynomial.zero(XY)
+                for c, src in zip(rep, gens):
+                    acc = acc + c * src
+                assert acc == g, gens
 
 
 class TestQuotientBasis:
