@@ -167,9 +167,10 @@ class TestStandardBasis:
 
     def test_representation_tracking(self):
         # besides the fixed ideal, 60 seeded non-homogeneous ones of degree
-        # <= 3; in a few of them (4 with this seed) a partial result of
-        # Mora division joins the reducers and carries its representation
-        rng = random.Random(1)
+        # <= 3.  With this seed a partial result of Mora division joins the
+        # reducers in 3 of them, and in one the basis depends on the
+        # representation that partial result carried
+        rng = random.Random(0)
         ideals = [[poly("x*y"), poly("x + 3*y^2")]]
         for _ in range(60):
             gens = []
