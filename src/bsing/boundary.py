@@ -19,6 +19,7 @@ from .standard_basis import (
     LocalAlgebra,
     LocalOrder,
     StandardBasis,
+    quotient_basis,
     staircase_quotient,
 )
 
@@ -82,9 +83,13 @@ class BoundarySingularity:
     that the quasihomogeneous computations fill per weight vector; rejects
     non-isolated input (infinite boundary Milnor number) unless
     ``allow_non_isolated`` is set.
+
+    ``_screen = (sb, cap)`` is private to ``boundary_corpus``: ``sb`` is the
+    boundary basis modulo m^cap, its corner below ``cap`` certifying it.
     """
 
-    def __init__(self, f: Polynomial, allow_non_isolated: bool = False):
+    def __init__(self, f: Polynomial, allow_non_isolated: bool = False, *,
+                 _screen: tuple[StandardBasis, int] | None = None):
         if f.is_zero():
             raise InvalidGermError("f must be nonzero")
         if f.constant_term() != 0:
@@ -96,9 +101,17 @@ class BoundarySingularity:
         order = LocalOrder()
 
         self.boundary_gens = jacobian_ideal_boundary(f)
-        self.sb_boundary, self.algebra_boundary = _quotient_of(
-            self.boundary_gens, order
-        )
+        if _screen is None:
+            self.sb_boundary, self.algebra_boundary = _quotient_of(
+                self.boundary_gens, order
+            )
+        else:
+            sb, cap = _screen
+            if sb.degree_cap is None or sb.degree_cap >= cap:
+                raise ValueError(f"screened basis has no corner below its cap {cap}")
+            if not all(sb.contains(g) for g in self.boundary_gens):
+                raise ValueError("screened basis is not of this germ's boundary ideal")
+            self.sb_boundary, self.algebra_boundary = sb, quotient_basis(sb)
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
             raise NonIsolatedError(
                 "boundary Milnor number is infinite; "

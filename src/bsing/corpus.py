@@ -24,6 +24,7 @@ from .quasihomog import NotQuasihomogeneousError, detect_weights
 from .standard_basis import INFINITE, quotient_basis, standard_basis
 
 DEFAULT_SEED = 20240
+_SCREEN_CAP = 9  # boundary_corpus keeps germs whose highest corner lies below it
 
 _CONTEXTS = {
     2: VarContext(("x", "y"), 0),
@@ -62,8 +63,10 @@ def boundary_corpus(
     building one exactly can take many runs): one standard basis of the
     boundary Jacobian ideal modulo m^9 must find its highest corner below
     9, certifying m^8 inside the ideal, and its staircase size is then
-    mu_{f,H}.  Survivors get the exact construction.  A few mu = 0 germs
-    are admitted, so ``max_mu`` must be at least 1.
+    mu_{f,H}.  Survivors keep that basis as their boundary basis (its
+    tail can differ from an unscreened build's) and get the ambient and
+    restriction algebras built exactly.  A few mu = 0 germs are admitted,
+    so ``max_mu`` must be at least 1.
     """
     if max_mu < 1:
         raise ValueError("max_mu must be >= 1: the mu = 0 germs are rationed")
@@ -73,8 +76,8 @@ def boundary_corpus(
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
         f = random_germ(rng, arity, max_degree=max_degree)
-        screen = standard_basis(jacobian_ideal_boundary(f), degree_cap=9)
-        if screen.degree_cap >= 9:
+        screen = standard_basis(jacobian_ideal_boundary(f), degree_cap=_SCREEN_CAP)
+        if screen.degree_cap >= _SCREEN_CAP:
             continue
         mu = quotient_basis(screen).dimension
         if mu > max_mu:
@@ -83,12 +86,7 @@ def boundary_corpus(
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1
-        try:
-            bs = BoundarySingularity(f)
-        except (NonIsolatedError, InvalidGermError):
-            continue
-        if bs.mu_boundary == INFINITE or bs.mu_boundary > max_mu:
-            continue
+        bs = BoundarySingularity(f, _screen=(screen, _SCREEN_CAP))
         if INFINITE in (bs.mu_ambient, bs.mu_restriction):
             continue
         out.append(bs)

@@ -99,6 +99,8 @@ class Deformation:
         """Build the base by setting every parameter to zero.  The family's
         context must list the germ variables first, then the parameters."""
         params = tuple(parameters)
+        if len(set(params)) != len(params):
+            raise ValueError("parameters must be distinct")
         ctx = F.context
         for p in params:
             if p not in ctx.names:

@@ -138,18 +138,26 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         n = context.arity
         for m, c in terms.items():
+            m = tuple(m)
             if len(m) != n:
                 raise ValueError(f"monomial {m} does not fit arity {n}")
             if any(e < 0 for e in m):
                 raise ValueError(f"negative exponent in {m}")
-            c = Fraction(c)
-            if c != 0:
-                clean[tuple(m)] = clean.get(tuple(m), Fraction(0)) + c
-                if clean[tuple(m)] == 0:
-                    del clean[tuple(m)]
+            if c := clean.get(m, 0) + Fraction(c):
+                clean[m] = c
+            else:
+                clean.pop(m, None)
         self.context = context
         self._terms = clean
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, context: VarContext, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap ``terms`` unchecked and uncopied: the caller hands over monomials
+        of the context's arity mapped to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.context, p._terms, p._hash = context, terms, None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -214,18 +222,19 @@ class Polynomial:
         self._check(other)
         out = dict(self._terms)
         for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.context, out)
+            if m not in out:
+                out[m] = c
+            elif v := out[m] + c:
+                out[m] = v
+            else:
+                del out[m]
+        return Polynomial._trusted(self.context, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Polynomial(self.context, out)
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.context, {m: -c for m, c in self._terms.items()})
+        return Polynomial._trusted(self.context, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -235,8 +244,8 @@ class Polynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = monomial_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.context, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return Polynomial._trusted(self.context, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -244,11 +253,15 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.context)
-        return Polynomial(self.context, {m: c * v for m, v in self._terms.items()})
+        return Polynomial._trusted(self.context, {m: c * v for m, v in self._terms.items()})
 
     def mul_monomial(self, m: Monomial, c: Rat = 1) -> "Polynomial":
+        if len(m) != self.context.arity or any(e < 0 for e in m):
+            raise ValueError(f"{m} is not an exponent tuple of arity {self.context.arity}")
         c = Fraction(c)
-        return Polynomial(
+        if c == 0:
+            return Polynomial.zero(self.context)
+        return Polynomial._trusted(
             self.context, {monomial_mul(m, t): c * v for t, v in self._terms.items()}
         )
 

@@ -88,7 +88,7 @@ def ecart(p: Polynomial, order: LocalOrder) -> int | Fraction:
 def _truncate(p: Polynomial, cap: int) -> Polynomial:
     """Drop terms of total degree >= cap (sound when working modulo the
     cap-degree power of the maximal ideal)."""
-    return Polynomial(
+    return Polynomial._trusted(
         p.context, {m: c for m, c in p._terms.items() if sum(m) < cap}
     )
 
@@ -147,10 +147,10 @@ def _mora_core(
         g, lm_g, lc_g, e_g, g_rep = min(usable, key=lambda r: r[3])
         if e_g > e_h:
             reducers.append((h, lm_h, lc_h, e_h, h_rep))
-        factor = Polynomial.monomial(ctx, monomial_div(lm_h, lm_g), lc_h / lc_g)
-        h = h - factor * g
+        q, c = monomial_div(lm_h, lm_g), lc_h / lc_g
+        h = h - g.mul_monomial(q, c)
         if reps is not None:
-            h_rep = [a - factor * b for a, b in zip(h_rep, g_rep)]
+            h_rep = [a - b.mul_monomial(q, c) for a, b in zip(h_rep, g_rep)]
         elif not h.is_zero():
             if truncate is not None:
                 h = truncate(h)
@@ -407,9 +407,9 @@ def _complete(
         if track_representations:
             lc_i = basis[i].coefficient(lms[i])
             lc_j = basis[j].coefficient(lms[j])
-            fa = Polynomial.monomial(ctx, monomial_div(lcm_ij, lms[i]), 1 / lc_i)
-            fb = Polynomial.monomial(ctx, monomial_div(lcm_ij, lms[j]), 1 / lc_j)
-            sp_reps = ([fa * a - fb * b for a, b in zip(reps[i], reps[j])], reps)
+            qa, qb = monomial_div(lcm_ij, lms[i]), monomial_div(lcm_ij, lms[j])
+            sp_reps = ([a.mul_monomial(qa, 1 / lc_i) - b.mul_monomial(qb, 1 / lc_j)
+                        for a, b in zip(reps[i], reps[j])], reps)
         r, r_rep = _mora_core(sp, basis, order, reps=sp_reps, truncate=truncate)
         if r.is_zero():
             continue

@@ -211,6 +211,37 @@ class TestCorpusScreen:
         got = [(bs.f, milnor_numbers(bs)) for bs in boundary_corpus(seed=77, count=12)]
         assert got == [(poly(f, ctx), mus) for f, ctx, mus in want]
 
+    def test_screened_basis_describes_the_exact_ideal(self):
+        # the corpus keeps its cap-9 screen as the boundary basis; only the
+        # tails of the generators may differ from an unscreened build
+        rng = random.Random(5)
+        for bs in boundary_corpus(seed=77, count=12):
+            ref = BoundarySingularity(bs.f)
+            assert bs.algebra_boundary == ref.algebra_boundary
+            assert bs.sb_boundary.degree_cap == ref.sb_boundary.degree_cap
+            assert bs.sb_boundary.leading_monomials == ref.sb_boundary.leading_monomials
+            members = [g.mul_monomial((rng.randint(0, 2),) * bs.ctx.arity, rng.randint(1, 3))
+                       for g in bs.boundary_gens]
+            probes = members + [Polynomial.monomial(bs.ctx, m)
+                                for m in bs.algebra_boundary.basis_monomials[-2:]]
+            for p in probes:
+                assert bs.sb_boundary.contains(p) == ref.sb_boundary.contains(p), str(p)
+            assert all(bs.sb_boundary.contains(p) for p in members)
+
+    def test_screened_path_rejects_a_foreign_or_uncertified_basis(self):
+        f, other = poly("x^2 + y^3"), poly("x^3 + y^2")
+        screen = standard_basis(jacobian_ideal_boundary(f), degree_cap=9)
+        assert BoundarySingularity(f, _screen=(screen, 9)).mu_boundary == 4
+        # the corner lies at 3: a cap at or below it certifies nothing
+        with pytest.raises(ValueError, match="no corner below"):
+            BoundarySingularity(f, _screen=(screen, 3))
+        deep = standard_basis(jacobian_ideal_boundary(poly("x*y + y^42")), degree_cap=9)
+        with pytest.raises(ValueError, match="no corner below"):
+            BoundarySingularity(poly("x*y + y^42"), _screen=(deep, 9))
+        foreign = standard_basis(jacobian_ideal_boundary(other), degree_cap=9)
+        with pytest.raises(ValueError, match="not of this germ"):
+            BoundarySingularity(f, _screen=(foreign, 9))
+
     def test_max_mu_below_one_is_rejected(self):
         # only mu = 0 germs would qualify, and those are rationed
         with pytest.raises(ValueError, match="max_mu"):

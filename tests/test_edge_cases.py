@@ -138,6 +138,12 @@ class TestVersalityExplicitWeights:
             ))
         assert good.base.f == parse_polynomial("x^2+y^3", VarContext(("x", "y"), 0))
 
+    def test_repeated_parameter_is_rejected_before_the_base_is_built(self):
+        ctx = VarContext(("x", "y", "l1"), 0)
+        F_poly = parse_polynomial("x^2+y^3+l1*x", ctx)
+        with pytest.raises(ValueError, match="parameters must be distinct"):
+            Deformation.from_family(F_poly, ["l1", "l1"])
+
 
 class TestCertifiedCapStress:
     def test_against_uncapped_on_dense_ideals(self):

@@ -16,6 +16,7 @@ from bsing.polyring import (
     series_rational_power,
     weighted_degree,
 )
+from bsing.standard_basis import _truncate
 from series_oracle import power_oracle
 
 XY = VarContext(("x", "y"), 0)
@@ -118,6 +119,76 @@ class TestWeightedDegree:
             for _, part in quasihomogeneous_components(p, w):
                 total = total + part
             assert total == p
+
+
+class TestConstructorContract:
+    def test_rejects_a_monomial_of_the_wrong_arity(self):
+        with pytest.raises(ValueError, match="arity"):
+            Polynomial(XY, {(1, 0, 0): 1})
+
+    def test_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(XY, {(1, -1): 1})
+
+    def test_merges_duplicates_drops_zero_sums_and_makes_fractions(self):
+        p = Polynomial(XY, {(1, 0): 2, (0, 1): 0, (2, 0): Fraction(1, 2)})
+        assert p.terms == {(1, 0): 2, (2, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        q = Polynomial(XY, _Pairs(((1, 0), 2), ([1, 0], 3), ((0, 2), 1), ((0, 2), -1)))
+        assert q.terms == {(1, 0): 5}
+        assert type(q.terms[(1, 0)]) is Fraction
+
+
+class _Pairs:
+    """A terms mapping given as (monomial, coefficient) pairs, so that one
+    monomial can repeat (a dict cannot hold the repeat)."""
+
+    def __init__(self, *pairs):
+        self._pairs = pairs
+
+    def items(self):
+        return iter(self._pairs)
+
+
+class TestTrustedArithmetic:
+    """Results built without the constructor's checks must still satisfy
+    them: nonzero Fraction coefficients, equal to a checked rebuild."""
+
+    @staticmethod
+    def _assert_clean(p: Polynomial):
+        assert all(type(c) is Fraction and c != 0 for c in p._terms.values())
+        assert all(len(m) == p.context.arity and min(m) >= 0 for m in p._terms)
+        assert Polynomial(p.context, p._terms) == p
+
+    def test_results_hold_only_nonzero_fractions(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            a, b = random_poly(rng), random_poly(rng)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m = (rng.randint(0, 2), rng.randint(0, 2))
+            # b - a.scale(k) cancels at least one term of b whenever a and
+            # b share a monomial; a - a and a + (-a) cancel everything
+            shared = set(a._terms) & set(b._terms)
+            k = b._terms[min(shared)] / a._terms[min(shared)] if shared else c
+            results = [
+                a + b, a - b, -a, a * b, a.scale(c), a.scale(0),
+                a.mul_monomial(m, c), a.mul_monomial(m, 0),
+                a - a, a + (-a), b - a.scale(k), _truncate(a * b, rng.randint(0, 6)),
+            ]
+            for p in results:
+                self._assert_clean(p)
+            assert (a - a).is_zero() and a.scale(0).is_zero()
+            assert a.mul_monomial(m, 0).is_zero()
+            if shared:
+                assert min(shared) not in (b - a.scale(k))._terms
+
+    def test_mul_monomial_checks_its_monomial(self):
+        p = poly("x + y")
+        with pytest.raises(ValueError, match="arity"):
+            p.mul_monomial((1, 0, 0))
+        with pytest.raises(ValueError, match="arity"):
+            p.mul_monomial((1, -1))
+        assert p.mul_monomial((1, 1), 2) == poly("2*x^2*y + 2*x*y^2")
 
 
 class TestRingLaws:
