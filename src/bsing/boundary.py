@@ -23,6 +23,10 @@ from .standard_basis import (
     staircase_quotient,
 )
 
+# boundary_corpus keeps germs whose boundary basis modulo m^9 has its highest
+# corner below 9; that corner certifies m^8 inside the ideal itself
+_SCREEN_CAP = 9
+
 
 class InvalidGermError(ValueError):
     """The input is not a germ vanishing at the origin (or is zero)."""
@@ -84,12 +88,13 @@ class BoundarySingularity:
     non-isolated input (infinite boundary Milnor number) unless
     ``allow_non_isolated`` is set.
 
-    ``_screen = (sb, cap)`` is private to ``boundary_corpus``: ``sb`` is the
-    boundary basis modulo m^cap, its corner below ``cap`` certifying it.
+    ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
+    ``standard_basis(gens, degree_cap=_SCREEN_CAP)`` for the boundary
+    generators ``gens`` of f, its corner below the cap certifying it.
     """
 
     def __init__(self, f: Polynomial, allow_non_isolated: bool = False, *,
-                 _screen: tuple[StandardBasis, int] | None = None):
+                 _screen: tuple[list[Polynomial], StandardBasis] | None = None):
         if f.is_zero():
             raise InvalidGermError("f must be nonzero")
         if f.constant_term() != 0:
@@ -106,11 +111,11 @@ class BoundarySingularity:
                 self.boundary_gens, order
             )
         else:
-            sb, cap = _screen
-            if sb.degree_cap is None or sb.degree_cap >= cap:
-                raise ValueError(f"screened basis has no corner below its cap {cap}")
-            if not all(sb.contains(g) for g in self.boundary_gens):
-                raise ValueError("screened basis is not of this germ's boundary ideal")
+            gens, sb = _screen
+            if gens != self.boundary_gens:
+                raise ValueError("screened basis is not of this germ's boundary generators")
+            if sb.degree_cap is None or sb.degree_cap >= _SCREEN_CAP:
+                raise ValueError(f"screened basis has no corner below {_SCREEN_CAP}")
             self.sb_boundary, self.algebra_boundary = sb, quotient_basis(sb)
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
             raise NonIsolatedError(

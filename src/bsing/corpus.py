@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .boundary import (
+    _SCREEN_CAP,
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
@@ -24,7 +25,6 @@ from .quasihomog import NotQuasihomogeneousError, detect_weights
 from .standard_basis import INFINITE, quotient_basis, standard_basis
 
 DEFAULT_SEED = 20240
-_SCREEN_CAP = 9  # boundary_corpus keeps germs whose highest corner lies below it
 
 _CONTEXTS = {
     2: VarContext(("x", "y"), 0),
@@ -76,7 +76,8 @@ def boundary_corpus(
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
         f = random_germ(rng, arity, max_degree=max_degree)
-        screen = standard_basis(jacobian_ideal_boundary(f), degree_cap=_SCREEN_CAP)
+        gens = jacobian_ideal_boundary(f)
+        screen = standard_basis(gens, degree_cap=_SCREEN_CAP)
         if screen.degree_cap >= _SCREEN_CAP:
             continue
         mu = quotient_basis(screen).dimension
@@ -86,7 +87,7 @@ def boundary_corpus(
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1
-        bs = BoundarySingularity(f, _screen=(screen, _SCREEN_CAP))
+        bs = BoundarySingularity(f, _screen=(gens, screen))
         if INFINITE in (bs.mu_ambient, bs.mu_restriction):
             continue
         out.append(bs)

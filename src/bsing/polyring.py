@@ -231,7 +231,16 @@ class Polynomial:
         return Polynomial._trusted(self.context, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check(other)
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            if m not in out:
+                out[m] = -c
+            elif v := out[m] - c:
+                out[m] = v
+            else:
+                del out[m]
+        return Polynomial._trusted(self.context, out)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted(self.context, {m: -c for m, c in self._terms.items()})

@@ -229,18 +229,20 @@ class TestCorpusScreen:
             assert all(bs.sb_boundary.contains(p) for p in members)
 
     def test_screened_path_rejects_a_foreign_or_uncertified_basis(self):
-        f, other = poly("x^2 + y^3"), poly("x^3 + y^2")
-        screen = standard_basis(jacobian_ideal_boundary(f), degree_cap=9)
-        assert BoundarySingularity(f, _screen=(screen, 9)).mu_boundary == 4
-        # the corner lies at 3: a cap at or below it certifies nothing
+        def screened(g):
+            gens = jacobian_ideal_boundary(g)
+            return gens, standard_basis(gens, degree_cap=9)
+
+        f = poly("x^2 + y^3")
+        assert BoundarySingularity(f, _screen=screened(f)).mu_boundary == 4
+        # the screen of x^2 + y^2 describes (x^2, y), a strictly larger ideal
+        # than (x^2, y^2): it contains f's generators but is not f's basis
+        for other in (poly("x^2 + y^2"), poly("x^3 + y^2")):
+            with pytest.raises(ValueError, match="not of this germ"):
+                BoundarySingularity(f, _screen=screened(other))
+        deep = poly("x*y + y^42")
         with pytest.raises(ValueError, match="no corner below"):
-            BoundarySingularity(f, _screen=(screen, 3))
-        deep = standard_basis(jacobian_ideal_boundary(poly("x*y + y^42")), degree_cap=9)
-        with pytest.raises(ValueError, match="no corner below"):
-            BoundarySingularity(poly("x*y + y^42"), _screen=(deep, 9))
-        foreign = standard_basis(jacobian_ideal_boundary(other), degree_cap=9)
-        with pytest.raises(ValueError, match="not of this germ"):
-            BoundarySingularity(f, _screen=(foreign, 9))
+            BoundarySingularity(deep, _screen=screened(deep))
 
     def test_max_mu_below_one_is_rejected(self):
         # only mu = 0 germs would qualify, and those are rationed
