@@ -23,9 +23,7 @@ from .standard_basis import (
     staircase_quotient,
 )
 
-# boundary_corpus keeps germs whose boundary basis modulo m^9 has its highest
-# corner below 9; that corner certifies m^8 inside the ideal itself
-_SCREEN_CAP = 9
+_SCREEN_CAP = 9  # a screened basis modulo m^9 with a corner below 9 is exact
 
 
 class InvalidGermError(ValueError):
