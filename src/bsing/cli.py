@@ -228,7 +228,7 @@ def cmd_reduce(args) -> int:
     bs = BoundarySingularity(f)
     w = detect_weights(f)
     cls = brieskorn_reduce(g, bs, w)
-    spec = spectrum(bs, w)  # the staircase of the tracked basis above
+    spec = spectrum(bs, w)  # the engine's staircase, certified above
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,

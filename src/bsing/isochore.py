@@ -145,7 +145,6 @@ def versality_check(
     w = weights if weights is not None else detect_weights(d.base.f)
     st = _engine(d.base, w)
     candidates = [Polynomial.constant(d.base.ctx, 1)] + d.velocities()
-    # coordinates() builds the tracked basis, which also fixes the staircase
     coords = [st.coordinates(g) for g in candidates]
     columns = sorted((e.monomial for e in st.spectrum().entries), key=monomial_key)
     col_index = {m: i for i, m in enumerate(columns)}

@@ -32,6 +32,8 @@ eigenvalue relation and confluence checks in the test suite.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,19 +48,10 @@ from .polyring import (
     check_weights,
     monomial_divides,
     monomial_key,
-    monomial_weighted_degree,
+    monomial_mul,
     quasihomogeneous_components,
-    weighted_degree,
 )
-from .standard_basis import (
-    INFINITE,
-    LocalAlgebra,
-    LocalOrder,
-    _row_echelon,
-    leading_term,
-    quotient_basis,
-    standard_basis,
-)
+from .standard_basis import INFINITE, _row_echelon
 
 
 class NotQuasihomogeneousError(ValueError):
@@ -191,38 +184,21 @@ class ResidueMatrix:
         return cls(tuple(spec.residue_diagonal()))
 
 
-def _alpha(m: Monomial, w: tuple[Fraction, ...]) -> Fraction:
-    return sum((wi * (e + 1) for wi, e in zip(w, m)), Fraction(0))
-
-
-def _spectrum_of(
-    alg: LocalAlgebra, w: tuple[Fraction, ...], names: tuple[str, ...]
-) -> Spectrum:
-    if alg.dimension == INFINITE:
-        raise NonIsolatedError("staircase complement is infinite")
-    entries = sorted(
-        (SpectrumEntry(m, _alpha(m, w)) for m in alg.basis_monomials),
-        key=lambda e: (e.alpha, monomial_key(e.monomial)),
-    )
-    return Spectrum(tuple(entries), w, names)
-
-
 def spectrum(bs: BoundarySingularity, weights: Sequence[Rat]) -> Spectrum:
     """Spectrum of the boundary singularity over the staircase basis of
     its boundary Jacobian quotient.
 
-    The staircase comes from the germ's cached graded engine, which checks
-    it against mu_{f,H} when it is first built; on a fresh engine this
-    builds only an untracked weighted standard basis."""
-    st = _engine(bs, weights)
-    if bs.mu_boundary == INFINITE:
-        raise NonIsolatedError("boundary Milnor number is infinite")
-    return st.spectrum()
+    The staircase comes from the germ's cached graded engine, which
+    certifies it by the Poincare series and mu_{f,H} when it is first
+    built."""
+    return _engine(bs, weights).spectrum()
 
 
 def ordinary_spectrum(g: Polynomial, weights: Sequence[Rat]) -> Spectrum:
     """Spectrum of an ordinary (no-boundary) isolated quasihomogeneous
-    germ, over the staircase of its full Jacobian ideal."""
+    germ, over the staircase of its full Jacobian ideal.  The Poincare
+    series certificate proves the quotient finite; a germ whose quotient
+    is not raises :class:`NonIsolatedError`."""
     if g.context.arity < 1:
         raise ValueError("ordinary spectrum needs at least one variable")
     w = check_weights(weights, g.context.arity)
@@ -230,11 +206,7 @@ def ordinary_spectrum(g: Polynomial, weights: Sequence[Rat]) -> Spectrum:
         raise NotQuasihomogeneousError(
             "requires quasihomogeneous germ (Euler identity fails)"
         )
-    live = [p for p in jacobian_ideal(g) if not p.is_zero()]
-    if not live:
-        raise NonIsolatedError("zero Jacobian ideal")
-    alg = quotient_basis(standard_basis(live, LocalOrder(w)))
-    return _spectrum_of(alg, w, g.context.names)
+    return _GradedIdeal(jacobian_ideal(g), w).spectrum()
 
 
 def spectrum_splitting_check(
@@ -250,7 +222,16 @@ def spectrum_splitting_check(
     """
     w = check_weights(weights, bs.ctx.arity)
     rel = Counter(spectrum(bs, w).alphas())
-    ambient, restricted = _engine(bs, w).ordinary_spectra(bs)
+    st = _engine(bs, w)
+    if st.ordinary is None:
+        b = bs.ctx.boundary_index
+        w_rest = w[:b] + w[b + 1 :]
+        if bs.restriction.is_zero() or not w_rest:
+            raise NotQuasihomogeneousError(
+                "splitting needs a boundary restriction in >= 1 variable"
+            )
+        st.ordinary = (ordinary_spectrum(bs.f, w), ordinary_spectrum(bs.restriction, w_rest))
+    ambient, restricted = st.ordinary
     amb = Counter(ambient.alphas())
     res = Counter(a + 1 for a in restricted.alphas())
     return rel == amb + res
@@ -340,170 +321,191 @@ def format_t_polynomial(powers: dict[int, Fraction]) -> str:
     return _signed_sum((names.get(j, f"t^{j}"), powers[j]) for j in sorted(powers))
 
 
-# One reducer of a tracked basis: leading monomial, leading coefficient,
-# the basis element g, and its weighted-homogeneous representation (r_j)
-# in the canonical Jacobian generators, g == sum_j r_j * jac[j].
-_Reducer = tuple[Monomial, Fraction, Polynomial, tuple[Polynomial, ...]]
+@functools.lru_cache(maxsize=4096)
+def _monomials(W: tuple[int, ...], D: int) -> tuple[Monomial, ...]:
+    """The monomials of W-degree D, leading first: by reversed exponents."""
+    if D < 0:
+        return ()
+    heads: list[tuple[Monomial, int]] = [((), D)]  # (exponents so far, degree left)
+    for Wi in W[:-1]:
+        heads = [(m + (e,), r - e * Wi) for m, r in heads for e in range(r // Wi + 1)]
+    out = [m + (r // W[-1],) for m, r in heads if r % W[-1] == 0]
+    return tuple(sorted(out, key=lambda m: m[::-1]))
 
 
-class _GradedStructure:
-    """The graded engine of one quasihomogeneous boundary singularity at
-    fixed weights, cached on the germ by :func:`_engine` and built lazily.
+# The echelon of J in one degree D: (columns, index, pivot columns, pivots,
+# tags).  The columns are the monomials of degree D, leading first, and
+# index maps them back; row t is tags[t] = (j, q), the multiple q*gens[j],
+# with a unit entry in column len(columns) + t.  The pivot columns are the
+# monomial ones, ascending.
+_Echelon = tuple[tuple[Monomial, ...], dict[Monomial, int], list[int],
+                 dict[int, dict[int, Fraction]], list[tuple[int, Monomial]]]
 
-    The staircase of Q = O/J_{f,H}, in spectrum order, comes from whichever
-    weighted standard basis is built first (``spectrum`` builds an
-    untracked one) and must have mu_{f,H} monomials; a basis built later
-    must give the same staircase.  Per generator order, ``tracked`` builds
-    a tracked basis whose elements carry homogenized representations over
-    the inputs, the canonical Jacobian generators.  ``graded_decompose``
-    splits homogeneous parts exactly into staircase + cofactors of those
-    inputs: each division step adds factor * representation straight into
-    the cofactors, the same rule as Mora division.  ``ordinary_spectra``
-    keeps the ordinary spectra of f and f|H that the splitting law compares
-    against.  A failed check raises :class:`CertificateError` and caches
-    nothing.
+
+class _GradedIdeal:
+    """The ideal J of weighted-homogeneous ``gens`` at weights w, degree by
+    degree (Macaulay matrices); the graded engine of a germ is the one of
+    J_{f,H}, cached on it by :func:`_engine`.
+
+    With w scaled to integers W, degree D of J is spanned by the rows q*g_j,
+    deg q = D - deg g_j.  Their echelon, columns by reversed exponents and
+    rows in a generator order, has the staircase in degree D as its
+    non-pivot columns; each row carries a unit tag column, so reducing by
+    the pivots gives remainder and cofactors at once.  A row q*g_j is
+    skipped when the leading monomial of an earlier generator divides q
+    (a Koszul syzygy spans it).  Echelons are cached per (degree, order).
+
+    The staircase is certified by the Poincare series: n generators in n
+    variables have a finite quotient iff they are a regular sequence, with
+    dimension in degree D the coefficient of t^D in
+    prod_j (1 - t^(deg g_j)) / prod_i (1 - t^W_i), a polynomial of degree
+    ``top``.  The counts up to top must match, and the next max(W) degrees
+    be empty, which puts every monomial above top in J; with ``mu`` given
+    the total must be mu.  A failure raises :class:`CertificateError`, or
+    :class:`NonIsolatedError` without ``mu``, and caches nothing.
+    ``ordinary`` keeps the splitting law's ordinary spectra of the germ.
     """
 
-    def __init__(self, bs: BoundarySingularity, w: tuple[Fraction, ...]):
-        self.w = w
-        self.ctx = bs.ctx
-        self.mu = bs.mu_boundary
-        self.order = LocalOrder(w)
-        self.jac = bs.boundary_gens
-        self._spectrum: Spectrum | None = None
-        self._ordinary: tuple[Spectrum, Spectrum] | None = None
+    def __init__(self, gens: Sequence[Polynomial], w: tuple[Fraction, ...],
+                 mu: int | float | None = None):
+        self.gens, self.w, self.mu = tuple(gens), w, mu
+        self.ctx = self.gens[0].context
+        scale = math.lcm(*(x.denominator for x in w))
+        self.W = tuple(int(x * scale) for x in w)
+        # gens are homogeneous: a stray term of another degree has no column
+        self.degrees = [None if g.is_zero() else self.degree(next(iter(g.terms)))
+                        for g in self.gens]
+        self.top: int | None = None
         self.slot: dict[Monomial, int] = {}
-        self._tracked: dict[tuple[int, ...], tuple[_Reducer, ...]] = {}
+        self.ordinary: tuple[Spectrum, Spectrum] | None = None
+        self._spectrum: Spectrum | None = None
+        self._echelons: dict[tuple[int, tuple[int, ...]], _Echelon] = {}
 
-    def _set_staircase(self, alg: LocalAlgebra) -> None:
-        spec = _spectrum_of(alg, self.w, self.ctx.names)
-        if self._spectrum is not None:
-            if spec != self._spectrum:
-                raise CertificateError(
-                    "two weighted standard bases of J_(f,H) have different staircases"
-                )
-            return
-        if len(spec) != self.mu:
-            raise CertificateError(
-                f"weighted staircase has {len(spec)} monomials, "
-                f"unweighted boundary quotient has {self.mu}"
-            )
-        self._spectrum = spec
-        self.slot = {e.monomial: i for i, e in enumerate(spec.entries)}
+    def degree(self, m: Monomial) -> int:
+        return sum(a * b for a, b in zip(self.W, m))
 
-    def spectrum(self) -> Spectrum:
-        if self._spectrum is None:
-            self._set_staircase(quotient_basis(standard_basis(self.jac, self.order)))
-        return self._spectrum
-
-    def ordinary_spectra(self, bs: BoundarySingularity) -> tuple[Spectrum, Spectrum]:
-        """The ordinary spectra of f and of f|H of the germ ``bs`` this
-        engine belongs to, the two sides of the splitting law, built on
-        first use.  A missing f|H raises before anything is built."""
-        if self._ordinary is None:
-            b = self.ctx.boundary_index
-            w_rest = self.w[:b] + self.w[b + 1 :]
-            if bs.restriction.is_zero() or not w_rest:
-                raise NotQuasihomogeneousError(
-                    "splitting needs a boundary restriction in >= 1 variable"
-                )
-            self._ordinary = (
-                ordinary_spectrum(bs.f, self.w),
-                ordinary_spectrum(bs.restriction, w_rest),
-            )
-        return self._ordinary
-
-    def tracked(self, generator_order: Sequence[int] | None = None) -> tuple[_Reducer, ...]:
-        """The reducers of the tracked basis for this generator order
-        (default: the canonical one), built on first use."""
-        n = len(self.jac)
+    def order(self, generator_order: Sequence[int] | None = None) -> tuple[int, ...]:
+        n = len(self.gens)
         key = tuple(range(n) if generator_order is None else generator_order)
-        if key in self._tracked:
-            return self._tracked[key]
         if sorted(key) != list(range(n)):
             raise ValueError("generator_order must be a permutation")
-        sb = standard_basis(
-            [self.jac[p] for p in key], self.order, track_representations=True
-        )
-        if sb.representations is None:
-            raise CertificateError("standard basis lost its representations")
-        gen_deg = [
-            None if g.is_zero() else weighted_degree(g, self.w) for g in self.jac
-        ]
-        reducers = []
-        for gi, rep in zip(sb.generators, sb.representations):
-            d_g = weighted_degree(gi, self.w)
-            if d_g is None:
-                raise CertificateError("standard basis element is not homogeneous")
-            row = [Polynomial.zero(self.ctx) for _ in range(n)]
-            for used_idx, cof in enumerate(rep):
-                j = key[used_idx]
-                if cof.is_zero() or gen_deg[j] is None:
-                    continue
-                target = d_g - gen_deg[j]
-                keep = {
-                    m: c
-                    for m, c in cof.terms.items()
-                    if monomial_weighted_degree(m, self.w) == target
-                }
-                row[j] = Polynomial(self.ctx, keep)
-            check = Polynomial.zero(self.ctx)
-            for j in range(n):
-                check = check + row[j] * self.jac[j]
-            if check != gi:
-                raise CertificateError("homogenized representation lost exactness")
-            reducers.append((*leading_term(gi, self.order), gi, tuple(row)))
-        self._set_staircase(quotient_basis(sb))
-        self._tracked[key] = tuple(reducers)
-        return self._tracked[key]
+        return key
 
-    def graded_decompose(
-        self, part: Polynomial, reducers: tuple[_Reducer, ...]
+    def _build(self, D: int, order: tuple[int, ...]) -> _Echelon:
+        columns = _monomials(self.W, D)
+        index = {m: i for i, m in enumerate(columns)}
+        n = len(columns)
+        rows, tags, leads = [], [], []
+        for j in order:
+            if self.degrees[j] is None:
+                continue
+            terms = self.gens[j].terms
+            for q in _monomials(self.W, D - self.degrees[j]):
+                if not any(monomial_divides(lm, q) for lm in leads):
+                    row = {index[monomial_mul(q, m)]: c for m, c in terms.items()}
+                    row[n + len(tags)] = Fraction(1)
+                    rows.append(row)
+                    tags.append((j, q))
+            leads.append(min(terms, key=lambda m: m[::-1]))
+        pivots = _row_echelon(rows)
+        return columns, index, sorted(c for c in pivots if c < n), pivots, tags
+
+    def echelon(self, D: int, order: tuple[int, ...]) -> _Echelon:
+        if (D, order) not in self._echelons:
+            self._echelons[D, order] = self._build(D, order)
+        return self._echelons[D, order]
+
+    def spectrum(self) -> Spectrum:
+        """The spectrum over the staircase, certified on first use."""
+        if self._spectrum is not None:
+            return self._spectrum
+        if self.mu == INFINITE:
+            raise NonIsolatedError("boundary Milnor number is infinite")
+        fail = NonIsolatedError if self.mu is None else CertificateError
+        live = [d for d in self.degrees if d is not None]
+        top = sum(live) - sum(self.W)
+        end = max(top + 1, 0) + max(self.W)
+        series = [1] + [0] * (end - 1)  # coefficients of t^0 .. t^(end-1)
+        for d in live:
+            for k in range(end - 1, d - 1, -1):
+                series[k] -= series[k - d]
+        for Wi in self.W:
+            for k in range(Wi, end):
+                series[k] += series[k - Wi]
+        order = self.order()
+        built = {D: self._build(D, order) for D in range(end)}
+        stairs: list[Monomial] = []
+        for D, (columns, _, _, pivots, _) in built.items():
+            free = [m for i, m in enumerate(columns) if i not in pivots]
+            want = series[D] if D <= top else 0
+            if len(free) != want:
+                raise fail(f"graded quotient has {len(free)} monomials in degree {D}, "
+                           f"the Poincare series {want}")
+            stairs.extend(free)
+        if self.mu is not None and len(stairs) != self.mu:
+            raise CertificateError(f"graded staircase has {len(stairs)} monomials, "
+                                   f"unweighted boundary quotient has {self.mu}")
+        self._echelons.update(((D, order), ech) for D, ech in built.items())
+        entries = sorted(
+            (SpectrumEntry(m, sum((wi * (e + 1) for wi, e in zip(self.w, m)), Fraction(0)))
+             for m in stairs),
+            key=lambda e: (e.alpha, monomial_key(e.monomial)),
+        )
+        self._spectrum = Spectrum(tuple(entries), self.w, self.ctx.names)
+        self.slot = {e.monomial: i for i, e in enumerate(entries)}
+        self.top = top
+        return self._spectrum
+
+    def decompose(
+        self, part: Polynomial, order: tuple[int, ...]
     ) -> tuple[dict[Monomial, Fraction], list[Polynomial]]:
-        """part == sum(rem) + sum_j cof[j]*jac[j], with rem supported on the
-        staircase and every cof[j] weighted-homogeneous, by division with
-        the reducers of one tracked basis.  Plain division within a fixed
-        weighted degree always terminates."""
-        rem: dict[Monomial, Fraction] = {}
-        cof = [Polynomial.zero(self.ctx) for _ in self.jac]
-        work = part
-        while not work.is_zero():
-            lm, lc = leading_term(work, self.order)
-            for lm_g, lc_g, g, row in reducers:
-                if monomial_divides(lm_g, lm):
-                    factor = Polynomial.monomial(
-                        self.ctx, tuple(a - b for a, b in zip(lm, lm_g)), lc / lc_g
-                    )
-                    work = work - factor * g
-                    for j, r in enumerate(row):
-                        if not r.is_zero():
-                            cof[j] = cof[j] + factor * r
-                    break
-            else:
-                if lm not in self.slot:
-                    raise CertificateError("non-staircase monomial escaped division")
-                rem[lm] = rem.get(lm, Fraction(0)) + lc
-                work = work - Polynomial.monomial(self.ctx, lm, lc)
-        rem = {m: c for m, c in rem.items() if c != 0}
+        """part == sum(rem) + sum_j cof[j]*gens[j] for a weighted-homogeneous
+        part, rem on the staircase in column order and every cof[j]
+        weighted-homogeneous; recomposed exactly."""
+        self.spectrum()
+        terms = part.terms
+        columns, index, pivot_columns, pivots, tags = self.echelon(
+            self.degree(next(iter(terms))), order)
+        n = len(columns)
+        row = {index[m]: c for m, c in terms.items()}
+        for p in pivot_columns:
+            v = row.get(p)
+            if v is not None:
+                for col, pv in pivots[p].items():
+                    nv = row.get(col, 0) - v * pv
+                    if nv:
+                        row[col] = nv
+                    else:
+                        del row[col]
+        rem = {columns[k]: row[k] for k in sorted(k for k in row if k < n)}
+        if any(m not in self.slot for m in rem):
+            raise CertificateError("non-staircase monomial escaped division")
+        cof: list[dict[Monomial, Fraction]] = [{} for _ in self.gens]
+        for k, v in row.items():
+            if k >= n:
+                j, q = tags[k - n]
+                cof[j][q] = -v
+        cofactors = [Polynomial(self.ctx, c) for c in cof]
         recomposed = Polynomial(self.ctx, rem)
-        for j, g in enumerate(self.jac):
-            recomposed = recomposed + cof[j] * g
+        for c, g in zip(cofactors, self.gens):
+            recomposed = recomposed + c * g
         if recomposed != part:
             raise CertificateError("graded decomposition lost exactness")
-        return rem, cof
+        return rem, cofactors
 
     def coordinates(self, g: Polynomial) -> dict[Monomial, Fraction]:
-        """Staircase coordinates of g: its exact residue modulo J_{f,H}."""
-        reducers = self.tracked()
+        """Staircase coordinates of g: its exact residue modulo J.  Parts
+        above the top degree lie in J and are skipped."""
+        self.spectrum()
         out: dict[Monomial, Fraction] = {}
         for _, part in quasihomogeneous_components(g, self.w):
-            rem, _ = self.graded_decompose(part, reducers)
-            for m, c in rem.items():
-                out[m] = out.get(m, Fraction(0)) + c
+            if self.degree(next(iter(part.terms))) <= self.top:
+                for m, c in self.decompose(part, self.order())[0].items():
+                    out[m] = out.get(m, Fraction(0)) + c
         return {m: c for m, c in out.items() if c != 0}
 
 
-def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedStructure:
+def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedIdeal:
     """The graded engine of bs at these weights, cached on bs by the checked
     weights.  Weights failing the Euler identity raise and cache nothing."""
     w = check_weights(weights, bs.ctx.arity)
@@ -513,7 +515,7 @@ def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedStructure
             raise NotQuasihomogeneousError(
                 "requires quasihomogeneous f (Euler identity fails for these weights)"
             )
-        st = bs._graded_engines[w] = _GradedStructure(bs, w)
+        st = bs._graded_engines[w] = _GradedIdeal(bs.boundary_gens, w, bs.mu_boundary)
     return st
 
 
@@ -541,7 +543,8 @@ def brieskorn_reduce(
     degree d - 1.
     """
     st = _engine(bs, weights)
-    reducers = st.tracked(generator_order)
+    order = st.order(generator_order)
+    st.spectrum()
     total_w = sum(st.w, Fraction(0))
     b = st.ctx.boundary_index
     ys = [i for i in range(st.ctx.arity) if i != b]
@@ -554,7 +557,7 @@ def brieskorn_reduce(
         if h.is_zero():
             continue
         for d, part in quasihomogeneous_components(h, st.w):
-            rem, cof = st.graded_decompose(part, reducers)
+            rem, cof = st.decompose(part, order)
             for m, c in rem.items():
                 slot = coords.setdefault(st.slot[m], {})
                 slot[tpow] = slot.get(tpow, Fraction(0)) + c

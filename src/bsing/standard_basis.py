@@ -18,8 +18,8 @@ offered by the graded engine in :mod:`bsing.quasihomog`.  Weak normal
 forms decide ideal membership against a standard basis, which is all the
 Milnor-number layer needs.
 
-Under the unweighted order :func:`standard_basis` truncates at the highest
-corner (Greuel-Pfister, section 1.7), the least D with m^D in the ideal.
+:func:`standard_basis` truncates at the highest corner (Greuel-Pfister,
+section 1.7), the least D with m^D in the ideal.
 """
 
 from __future__ import annotations
@@ -45,30 +45,19 @@ INFINITE = math.inf
 
 @dataclass(frozen=True)
 class LocalOrder:
-    """Negative-degree reverse-lexicographic order, optionally weighted.
+    """Negative-degree reverse-lexicographic order.
 
-    Smaller (weighted) total degree means a *larger* monomial, so 1 is the
-    largest monomial; ties are broken reverse-lexicographically with
-    earlier variables larger (for all-1 weights, LT(x + y) = x).
+    Smaller total degree means a *larger* monomial, so 1 is the largest
+    monomial; ties are broken reverse-lexicographically with earlier
+    variables larger (LT(x + y) = x).
     """
-
-    weights: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        if self.weights is not None:
-            w = tuple(Fraction(x) for x in self.weights)
-            if any(x <= 0 for x in w):
-                raise ValueError("order weights must be positive")
-            object.__setattr__(self, "weights", w)
 
     def key(self, m: Monomial):
         """Sort key; the largest monomial has the smallest key."""
         return (self.degree(m), tuple(reversed(m)))
 
-    def degree(self, m: Monomial) -> int | Fraction:
-        if self.weights is None:
-            return sum(m)
-        return sum((w * e for w, e in zip(self.weights, m)), Fraction(0))
+    def degree(self, m: Monomial) -> int:
+        return sum(m)
 
 
 def leading_term(p: Polynomial, order: LocalOrder) -> tuple[Monomial, Fraction]:
@@ -78,7 +67,7 @@ def leading_term(p: Polynomial, order: LocalOrder) -> tuple[Monomial, Fraction]:
     return m, p._terms[m]
 
 
-def ecart(p: Polynomial, order: LocalOrder) -> int | Fraction:
+def ecart(p: Polynomial, order: LocalOrder) -> int:
     """Spread between the largest term degree and the leading-term degree."""
     lm, _ = leading_term(p, order)
     top = max(order.degree(m) for m in p._terms)
@@ -263,32 +252,29 @@ def standard_basis(
     are minimalized (none divides another).  The product and chain
     criteria prune the pair queue.
 
-    ``degree_cap`` D computes a standard basis of (gens) + m^D modulo m^D,
-    for a local order that refines total degree (the unweighted one):
+    ``degree_cap`` D computes a standard basis of (gens) + m^D modulo m^D:
     every S-polynomial and partial remainder is truncated below degree D.
     m^D needs no generators of its own: an S-pair against a degree-D
     monomial has all its terms in degree >= D, and reducing by one is
     truncation.  It cannot be combined with representation tracking.
 
-    Under the unweighted order without tracked representations the run
-    stops at the highest corner: once the leading monomials cover every
-    monomial of degree D (below the truncation degree if a term was
-    dropped), m^D lies in I + m^(D+1), so in I by Nakayama's lemma, and
-    the run goes on modulo m^D.  Uncapped Mora division can take minutes
-    on an ideal of small colength, so without a cap truncation starts at
-    degree 6, rising by half for a run that dropped terms and found no
-    corner below it.  The result records the corner, else ``None`` if
-    nothing was dropped (infinite colength), else the given cap.
+    Without tracked representations the run stops at the highest corner:
+    once the leading monomials cover every monomial of degree D (below the
+    truncation degree if a term was dropped), m^D lies in I + m^(D+1), so
+    in I by Nakayama's lemma, and the run goes on modulo m^D.  Uncapped
+    Mora division can take minutes on an ideal of small colength, so
+    without a cap truncation starts at degree 6, rising by half for a run
+    that dropped terms and found no corner below it.  The result records
+    the corner, else ``None`` if nothing was dropped (infinite colength),
+    else the given cap.
     """
     order = order or LocalOrder()
     if degree_cap is not None and track_representations:
         raise ValueError("degree_cap would corrupt tracked representations")
-    if degree_cap is not None and order.weights is not None:
-        raise ValueError("degree_cap needs the unweighted order")
     inputs = tuple(gens)
     if all(g.is_zero() for g in inputs):
         raise ValueError("standard basis of the zero ideal is not supported here")
-    if order.weights is not None or track_representations or degree_cap is not None:
+    if track_representations or degree_cap is not None:
         return _complete(inputs, order, track_representations, degree_cap)
     limit = 6
     while True:
@@ -452,7 +438,7 @@ def staircase_quotient(
 ) -> tuple["StandardBasis", "LocalAlgebra"]:
     """Standard basis and staircase of the localized ideal: one call of
     :func:`standard_basis`, which records the highest corner as
-    ``degree_cap`` (``None`` for infinite colength and weighted orders)."""
+    ``degree_cap`` (``None`` for infinite colength)."""
     sb = standard_basis(gens, order)
     return sb, quotient_basis(sb)
 

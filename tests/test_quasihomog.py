@@ -1,3 +1,6 @@
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bsing.standard_basis as sb_module
 from bsing import CertificateError, quasihomog
 from bsing.boundary import BoundarySingularity, NonIsolatedError
 from bsing.corpus import family_normal_form, quasihomogeneous_corpus
@@ -114,20 +118,16 @@ class TestSpectrum:
         for bs, w in quasihomogeneous_corpus(seed=21, count=12):
             assert len(spectrum(bs, w)) == bs.mu_boundary
 
-    def test_staircase_mismatch_raises_certificate_error(self, monkeypatch):
-        # the weighted staircase is cross-checked against the unweighted
-        # boundary quotient; losing a monomial must fail loudly, also
-        # under python -O
+    def test_staircase_mismatch_raises_certificate_error(self):
+        # the graded staircase is cross-checked against the unweighted
+        # boundary quotient; a disagreement must fail loudly, also under
+        # python -O, and cache nothing
         bs = bsing("x^2+y^3")
-        real = quasihomog.quotient_basis
-
-        def short(sb):
-            alg = real(sb)
-            return type(alg)(alg.basis_monomials[1:], alg.dimension - 1)
-
-        monkeypatch.setattr(quasihomog, "quotient_basis", short)
-        with pytest.raises(CertificateError):
-            spectrum(bs, (F(1, 2), F(1, 3)))
+        bs.__dict__["mu_boundary"] = 5  # the Poincare series gives 4
+        for _ in range(2):
+            with pytest.raises(CertificateError, match="unweighted boundary quotient has 5"):
+                spectrum(bs, (F(1, 2), F(1, 3)))
+        assert bs._graded_engines[(F(1, 2), F(1, 3))]._echelons == {}
 
 
 class TestOrdinarySpectrum:
@@ -145,6 +145,21 @@ class TestOrdinarySpectrum:
         assert ordinary_spectrum(
             poly("x^2+y^2+z^2", XYZ), (F(1, 2),) * 3
         ).alphas() == [F(3, 2)]
+
+    def test_non_isolated_with_nonzero_partials(self):
+        # (2xy, x^2) is no regular sequence; the counts of degrees 0..2
+        # still match the Poincare series, y^3 in degree 3 does not
+        with pytest.raises(NonIsolatedError, match="1 monomials in degree 3"):
+            ordinary_spectrum(poly("x^2*y"), (F(1, 3), F(1, 3)))
+
+    def test_non_isolated_with_a_zero_partial(self):
+        with pytest.raises(NonIsolatedError):
+            ordinary_spectrum(poly("x^3"), (F(1, 3), F(1, 2)))
+
+    def test_zero_jacobian_ideal(self):
+        # no generator: 1 is a staircase monomial above the top degree
+        with pytest.raises(NonIsolatedError, match="1 monomials in degree 0"):
+            ordinary_spectrum(Polynomial.zero(XY), (F(1, 3), F(1, 2)))
 
 
 class TestSplitting:
@@ -226,19 +241,30 @@ def deformation_of(bs, term):
     return Deformation(F_poly, ("l",), bs)
 
 
+class _Builds(list):
+    """(ideal, degree, generator order) of every echelon built, in order."""
+
+    def of(self, ideal):
+        return [(D, order) for i, D, order in self if i is ideal]
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Kinds of weighted standard bases built, in order, counted through
-    quasihomog.standard_basis (the germ's own unweighted bases are built
-    in bsing.boundary and are not counted)."""
-    calls = []
-    real = quasihomog.standard_basis
+    """Echelons built by the graded engines, counted through
+    ``_GradedIdeal._build``.  ``builds.seal()``, called once the germs
+    exist, makes every later Buchberger-Mora run raise."""
+    calls = _Builds()
+    real = quasihomog._GradedIdeal._build
 
-    def counting(gens, order=None, track_representations=False, degree_cap=None):
-        calls.append("tracked" if track_representations else "untracked")
-        return real(gens, order, track_representations, degree_cap)
+    def counting(self, D, order):
+        calls.append((self, D, order))
+        return real(self, D, order)
 
-    monkeypatch.setattr(quasihomog, "standard_basis", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graded computation ran standard_basis._complete")
+
+    monkeypatch.setattr(quasihomog._GradedIdeal, "_build", counting)
+    calls.seal = lambda: monkeypatch.setattr(sb_module, "_complete", refuse)
     return calls
 
 
@@ -248,15 +274,24 @@ ENGINE_GERMS = [("x^2+y^3", XY), ("x*y+y^4", XY), ("x+y^5", XY), ("x^2+y^3+z^2",
 class TestGradedEngine:
     @pytest.mark.parametrize("f,ctx", ENGINE_GERMS)
     def test_one_basis_of_each_kind_per_germ_and_weights(self, builds, f, ctx):
+        # one echelon per degree, in the canonical generator order, all of
+        # the germ's engine, and no Buchberger-Mora run
         bs = bsing(f, ctx)
         w = detect_weights(bs.f)
+        builds.seal()
         g = poly("x*y^2 + 3*x^3 + y", ctx)
-        for _ in range(2):
+        for k in range(2):
             spec = spectrum(bs, w)
             cls = brieskorn_reduce(g, bs, w)
             coords = quotient_coordinates(g, bs, w)
             versality_check(deformation_of(bs, "y"), w)
-        assert builds == ["untracked", "tracked"]
+            if k == 0:
+                first = list(builds)
+        assert builds == first
+        ideal = bs._graded_engines[w]
+        assert {i for i, _, _ in builds} == {ideal}
+        assert len(set(builds)) == len(builds)
+        assert {order for _, order in builds.of(ideal)} == {tuple(range(ctx.arity))}
         assert len(spec) == bs.mu_boundary
         assert coords == {
             spec.entries[i].monomial: p[0] for i, p in cls.coords.items() if 0 in p
@@ -266,35 +301,46 @@ class TestGradedEngine:
     def test_second_splitting_check_builds_no_basis(self, builds, f, ctx):
         bs = bsing(f, ctx)
         w = detect_weights(bs.f)
+        builds.seal()
         assert spectrum_splitting_check(bs, w)
         # the engine's staircase, then the ordinary spectra of f and f|H
-        assert builds == ["untracked"] * 3
+        assert len({i for i, _, _ in builds}) == 3
+        assert len(set(builds)) == len(builds)
+        first = list(builds)
         assert spectrum_splitting_check(bs, w)
-        assert builds == ["untracked"] * 3
+        assert builds == first
 
     def test_splitting_without_restriction_raises_every_time(self, builds):
         bs = BoundarySingularity(poly("x^3", VarContext(("x",), 0)))
         w = detect_weights(bs.f)
+        builds.seal()
         for _ in range(2):
             with pytest.raises(NotQuasihomogeneousError, match="restriction"):
                 spectrum_splitting_check(bs, w)
         # the engine's staircase only: no ordinary spectrum is built
-        assert builds == ["untracked"]
-        assert bs._graded_engines[w]._ordinary is None
+        engine = bs._graded_engines[w]
+        assert {i for i, _, _ in builds} == {engine}
+        assert engine.ordinary is None
 
     @pytest.mark.parametrize("f,ctx", ENGINE_GERMS)
     def test_each_generator_order_adds_one_tracked_basis(self, builds, f, ctx):
+        # a generator order adds its own echelons, each built once
         bs = bsing(f, ctx)
         w = detect_weights(bs.f)
+        builds.seal()
         g = poly("x^3*y + 2*x*y^2 - y^5 + x^2*y + 5", ctx)
         default = brieskorn_reduce(g, bs, w)
-        assert builds == ["tracked"]
-        other = list(reversed(range(ctx.arity)))
+        canonical, other = tuple(range(ctx.arity)), tuple(reversed(range(ctx.arity)))
+        assert {order for _, _, order in builds} == {canonical}
+        before = len(builds)
         for _ in range(2):
-            assert brieskorn_reduce(g, bs, w, generator_order=other) == default
-        assert builds == ["tracked", "tracked"]
+            assert brieskorn_reduce(g, bs, w, generator_order=list(other)) == default
+        added = builds[before:]
+        assert added and {order for _, _, order in added} == {other}
+        assert len(set(builds)) == len(builds)
+        before = len(builds)
         assert brieskorn_reduce(g, bs, w, generator_order=range(ctx.arity)) == default
-        assert builds == ["tracked", "tracked"]
+        assert len(builds) == before
 
     @pytest.mark.parametrize(
         "first",
@@ -306,13 +352,16 @@ class TestGradedEngine:
         ids=["versality_check", "brieskorn_reduce", "quotient_coordinates"],
     )
     def test_a_fresh_germ_builds_one_weighted_basis(self, builds, first):
+        # the first call certifies the staircase in the canonical order
         bs = bsing("x^2+y^3")
         w = detect_weights(bs.f)
+        builds.seal()
         first(bs, w)
-        assert builds == ["tracked"]
-        # the spectrum then reuses the tracked basis's staircase
+        built = list(builds)
+        assert built and {order for _, _, order in built} == {(0, 1)}
+        # the spectrum then reuses that staircase
         assert spectrum(bs, w).alphas() == [F(5, 6), F(7, 6), F(4, 3), F(5, 3)]
-        assert builds == ["tracked"]
+        assert builds == built
 
     @pytest.mark.parametrize("order", [[0, 0], [0], [1, 2], [0, 1, 2]])
     def test_bad_generator_order_raises_every_time(self, builds, order):
@@ -322,6 +371,7 @@ class TestGradedEngine:
             with pytest.raises(ValueError, match="permutation"):
                 brieskorn_reduce(poly("x*y"), bs, w, generator_order=order)
         assert builds == []
+        assert bs._graded_engines[w]._echelons == {}
 
     def test_non_euler_weights_raise_every_time_and_cache_nothing(self, builds):
         bs = bsing("x^2+y^3")
@@ -340,41 +390,36 @@ class TestGradedEngine:
         assert bs._graded_engines == {}
 
     @pytest.mark.parametrize(
-        "first,second",
+        "call",
         [
-            (
-                lambda bs, w: spectrum(bs, w),
-                lambda bs, w: brieskorn_reduce(poly("x*y"), bs, w),
-            ),
-            (
-                lambda bs, w: brieskorn_reduce(poly("x*y"), bs, w),
-                lambda bs, w: brieskorn_reduce(poly("x*y"), bs, w, generator_order=[1, 0]),
-            ),
+            lambda bs, w: spectrum(bs, w),
+            lambda bs, w: brieskorn_reduce(poly("x*y"), bs, w),
+            lambda bs, w: quotient_coordinates(poly("x*y"), bs, w),
         ],
-        ids=["untracked-then-tracked", "tracked-then-tracked"],
+        ids=["spectrum", "brieskorn_reduce", "quotient_coordinates"],
     )
-    def test_staircase_disagreement_raises_certificate_error(
-        self, monkeypatch, first, second
+    def test_a_staircase_that_loses_a_monomial_raises_and_caches_nothing(
+        self, monkeypatch, call
     ):
-        # the second weighted basis of the engine loses a monomial of its
-        # staircase: it must be refused, not cached
+        # an echelon that wrongly claims 1 as a pivot leaves degree 0 one
+        # monomial short of the Poincare series
         bs = bsing("x^2+y^3")
         w = detect_weights(bs.f)
-        real = quasihomog.quotient_basis
-        seen = []
+        real = quasihomog._GradedIdeal._build
 
-        def second_short(sb):
-            alg = real(sb)
-            seen.append(sb)
-            if len(seen) == 1:
-                return alg
-            return type(alg)(alg.basis_monomials[1:], alg.dimension - 1)
+        def losing(self, D, order):
+            columns, index, pivot_columns, pivots, tags = real(self, D, order)
+            if D == 0:
+                pivot_columns, pivots = [0], {0: {0: F(1)}}
+            return columns, index, pivot_columns, pivots, tags
 
-        monkeypatch.setattr(quasihomog, "quotient_basis", second_short)
-        first(bs, w)
+        monkeypatch.setattr(quasihomog._GradedIdeal, "_build", losing)
         for _ in range(2):
-            with pytest.raises(CertificateError, match="different staircases"):
-                second(bs, w)
+            with pytest.raises(CertificateError, match="0 monomials in degree 0"):
+                call(bs, w)
+        engine = bs._graded_engines[w]
+        assert engine._spectrum is None and engine.slot == {}
+        assert engine._echelons == {}
 
 
 BP_EXPONENTS = {
@@ -393,12 +438,10 @@ def weighted_degree_one(exps):
     ]
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(data=st.data())
-def test_warm_engine_reduces_like_a_fresh_germ(data):
-    # Brieskorn-Pham germs, with a mixed term of the same weighted degree
-    # where one exists, so that the Jacobian ideal is not monomial and the
-    # tracked bases differ between generator orders
+def draw_bp_germ(data):
+    """A Brieskorn-Pham germ with random coefficients, with a mixed term of
+    the same weighted degree where one exists, so that the Jacobian ideal
+    is not monomial; non-isolated draws are rejected."""
     ctx = data.draw(st.sampled_from([XY, XYZ]))
     exps = data.draw(st.sampled_from(BP_EXPONENTS[ctx.arity]))
     coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -411,9 +454,18 @@ def test_warm_engine_reduces_like_a_fresh_germ(data):
         terms[data.draw(st.sampled_from(mixed))] = data.draw(coeff)
     f = Polynomial(ctx, terms)
     try:
-        bs = BoundarySingularity(f)
+        return BoundarySingularity(f)
     except NonIsolatedError:
         assume(False)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_warm_engine_reduces_like_a_fresh_germ(data):
+    # the echelons differ between generator orders on the mixed germs
+    bs = draw_bp_germ(data)
+    f, ctx = bs.f, bs.ctx
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
     monomial = st.tuples(*[st.integers(0, 4)] * ctx.arity)
     g = Polynomial(ctx, data.draw(st.dictionaries(monomial, coeff, min_size=1, max_size=4)))
     w = detect_weights(f)
@@ -424,3 +476,77 @@ def test_warm_engine_reduces_like_a_fresh_germ(data):
     for order in orders:
         fresh = brieskorn_reduce(g, BoundarySingularity(f), w, generator_order=order)
         assert brieskorn_reduce(g, bs, w, generator_order=order) == fresh
+
+
+def product_formula(shift, factors):
+    """The exponents, with multiplicity and sorted, of
+    t^shift * prod (1 - t^a)/(1 - t^b) over (a, b) in ``factors``: each a is
+    a multiple k*b, so a factor is the sum of t^(i*b) for i < k."""
+    out = Counter({shift: 1})
+    for a, b in factors:
+        k = a / b
+        assert k.denominator == 1
+        nxt = Counter()
+        for e, c in out.items():
+            for i in range(int(k)):
+                nxt[e + i * b] += c
+        out = nxt
+    return sorted(out.elements())
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_spectra_equal_the_poincare_product_formula(data):
+    # an oracle independent of the engine: the closed forms of the
+    # boundary and the two ordinary spectra, over Fraction exponents
+    bs = draw_bp_germ(data)
+    w = detect_weights(bs.f)
+    wx, wy = w[0], w[1:]
+    one = F(1)
+    assert spectrum(bs, w).alphas() == product_formula(
+        sum(w), [(one, wx)] + [(1 - v, v) for v in wy])
+    assert ordinary_spectrum(bs.f, w).alphas() == product_formula(
+        sum(w), [(1 - v, v) for v in w])
+    assert ordinary_spectrum(bs.restriction, wy).alphas() == product_formula(
+        sum(wy), [(1 - v, v) for v in wy])
+
+
+def seeded_poly(rng, arity):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        m = tuple(rng.randint(0, 4) for _ in range(arity))
+        terms[m] = terms.get(m, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+    return terms
+
+
+# sha256 over the reprs below, computed with the weighted Buchberger
+# engine that the per-degree echelons replaced
+GRADED_OUTPUTS_SHA256 = "9d56d30dc65f6d52408b5fc5bc15acfa7898a89829a7e5d55160f9d47714f55e"
+
+
+def test_graded_outputs_match_the_pinned_digest():
+    # staircase coordinates, Brieskorn classes in the default and one
+    # permuted generator order, and versality, byte for byte, on the 72
+    # germs of quasihomogeneous_corpus(seed=0..5, count=12)
+    h = hashlib.sha256()
+    for seed in range(6):
+        rng = random.Random(seed)
+        for bs, w in quasihomogeneous_corpus(seed=seed, count=12):
+            ctx, n = bs.ctx, bs.ctx.arity
+            g = Polynomial(ctx, seeded_poly(rng, n))
+            perm = list(reversed(range(n)))
+            family = VarContext(ctx.names + ("l0", "l1"), ctx.boundary_index)
+            terms = {m + (0, 0): c for m, c in bs.f.terms.items()}
+            for k in range(2):
+                for m, c in seeded_poly(rng, n).items():
+                    key = m + tuple(int(i == k) for i in range(2))
+                    terms[key] = terms.get(key, 0) + c
+            d = Deformation(Polynomial(family, terms), ("l0", "l1"), bs)
+            out = (
+                quotient_coordinates(g, bs, w),
+                brieskorn_reduce(g, bs, w),
+                brieskorn_reduce(g, bs, w, generator_order=perm),
+                versality_check(d, w),
+            )
+            h.update(repr(out).encode())
+    assert h.hexdigest() == GRADED_OUTPUTS_SHA256
