@@ -274,22 +274,20 @@ class Polynomial:
             self.context, {monomial_mul(m, t): c * v for t, v in self._terms.items()}
         )
 
+    # m -> m / x_i on the terms with m[i] > 0, and m -> m without its
+    # entry i on those with m[i] == 0, are injective: no two terms merge,
+    # so the results hold nonzero Fractions and need no checks
+
     def partial_derivative(self, i: int) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            if m[i] > 0:
-                dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-                out[dm] = out.get(dm, Fraction(0)) + c * m[i]
-        return Polynomial(self.context, out)
+        return Polynomial._trusted(self.context, {
+            m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in self._terms.items() if m[i]
+        })
 
     def substitute_zero(self, i: int) -> "Polynomial":
         """Set variable ``i`` to zero and drop it from the context."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            if m[i] == 0:
-                dm = m[:i] + m[i + 1 :]
-                out[dm] = out.get(dm, Fraction(0)) + c
-        return Polynomial(self.context.drop(i), out)
+        return Polynomial._trusted(self.context.drop(i), {
+            m[:i] + m[i + 1 :]: c for m, c in self._terms.items() if not m[i]
+        })
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute images[i] for variable i; images share one context."""

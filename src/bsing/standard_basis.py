@@ -18,8 +18,22 @@ offered by the graded engine in :mod:`bsing.quasihomog`.  Weak normal
 forms decide ideal membership against a standard basis, which is all the
 Milnor-number layer needs.
 
+One fraction-free kernel runs division, S-polynomials and completion on
+inputs made integral once.  Its elements (:class:`_Elem`) are primitive
+integer polynomials with positive leading coefficient, with leading
+monomial, leading coefficient and ecart cached.  A step replaces h by
+(lc_g/d)*h - (lc_h/d)*x^q*g, d = gcd(lc_h, lc_g), truncates and divides
+out the content, so a value is known up to a rational multiple, which
+a basis or a membership test allows.  Tracked, an element carries the
+rational lam of its exact value lam*terms and integer representations
+rep, den*terms == sum(rep[t]*s_t*input_t) with s_t clearing input t's
+denominators; (lam*s_t/den)*rep[t] is divided out once, at the end.
+
 :func:`standard_basis` truncates at the highest corner (Greuel-Pfister,
-section 1.7), the least D with m^D in the ideal.
+section 1.7), the least D with m^D in the ideal.  A truncating run finds
+it by descending from its truncation degree D while all of degree D-1 is
+leading (m^D leading makes m^(D+1) leading); an exact run with no corner
+yet walks the staircase.
 """
 
 from __future__ import annotations
@@ -28,12 +42,14 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from operator import add, le, sub
+from typing import Iterator, Sequence
 
 from .polyring import (
     Monomial,
     Polynomial,
-    monomial_div,
+    VarContext,
     monomial_divides,
     monomial_key,
     monomial_lcm,
@@ -67,13 +83,6 @@ def leading_term(p: Polynomial, order: LocalOrder) -> tuple[Monomial, Fraction]:
     return m, p._terms[m]
 
 
-def ecart(p: Polynomial, order: LocalOrder) -> int:
-    """Spread between the largest term degree and the leading-term degree."""
-    lm, _ = leading_term(p, order)
-    top = max(order.degree(m) for m in p._terms)
-    return top - order.degree(lm)
-
-
 def _truncate(p: Polynomial, cap: int) -> Polynomial:
     """Drop terms of total degree >= cap (sound when working modulo the
     cap-degree power of the maximal ideal)."""
@@ -82,72 +91,130 @@ def _truncate(p: Polynomial, cap: int) -> Polynomial:
     )
 
 
-def _mora_core(
-    p: Polynomial,
-    gens: Sequence[Polynomial],
-    order: LocalOrder,
-    reps: tuple[list[Polynomial], Sequence[list[Polynomial]]] | None = None,
-    truncate: Callable[[Polynomial], Polynomial] | None = None,
-) -> tuple[Polynomial, list[Polynomial] | None]:
-    """Shared Mora division loop; returns ``(remainder, representation)``.
+# -- the fraction-free kernel --------------------------------------------------
+# A monomial is keyed by (deg, e_n, ..., e_1), which sorts as LocalOrder.key:
+# min() of the keys is the leading monomial, max()[0] the top degree, and
+# keys multiply, divide and divide one another exponentwise.
 
-    ``reps = (rep_p, rep_gens)`` writes ``p`` and each divisor over one
-    fixed list of inputs: v == sum(rep[t] * inputs[t]).  Every value of the
-    loop, the partial results that join the reducers included, carries its
-    representation and updates it in the same step as itself, so the
-    remainder's is exact.  Without ``reps`` the remainder is only
-    guaranteed up to a nonzero rational multiple (partial results are
-    rescaled to keep coefficients small), which is what the Buchberger loop
-    and membership tests need.
 
-    ``truncate`` (dropping terms of total degree >= D; only without
-    ``reps`` may it drop any) divides modulo m^D, applied to ``p`` and
-    every partial result: the remainder is then zero iff p lies in
-    (gens) + m^D, if the divisors are a standard basis of it modulo m^D."""
-    ctx = p.context
+def _key(m: Monomial) -> tuple[int, ...]:
+    return (sum(m), *reversed(m))
 
-    # a divisor with nonzero constant term is a unit of the local ring:
-    # (g_i/c) * p - (p/c) * g_i == 0, and naive division by such a divisor
-    # would wander for a very long time
-    for i, g in enumerate(gens):
-        c0 = g.constant_term()
-        if c0 != 0:
-            if reps is None:
-                return Polynomial.zero(ctx), None
-            u, q = g.scale(1 / c0), p.scale(1 / c0)
-            return Polynomial.zero(ctx), [
-                u * a - q * b for a, b in zip(reps[0], reps[1][i])
-            ]
 
-    h = p if truncate is None else truncate(p)
-    h_rep = None if reps is None else reps[0]
-    reducers = [
-        (g, *leading_term(g, order), ecart(g, order), None if reps is None else reps[1][i])
-        for i, g in enumerate(gens)
-        if not g.is_zero()
-    ]
-    while not h.is_zero():
-        lm_h, lc_h = leading_term(h, order)
-        usable = [r for r in reducers if monomial_divides(r[1], lm_h)]
-        if not usable:
+class _Elem:
+    """A kernel element built from any integer ``terms``: their content
+    moves into ``lam`` and ``den``, and a tracked representation ``rep``
+    drops its common factor with ``den``.  Untracked, ``lam`` only scales
+    a basis element's value (it is 1 until the element is truncated)."""
+
+    __slots__ = ("terms", "lm", "lc", "ecart", "lam", "rep", "den")
+
+    def __init__(self, terms: dict, lam=1, rep: list[dict] | None = None, den: int = 1):
+        self.lm = lm = min(terms, default=None)
+        c = math.gcd(*terms.values()) or 1
+        if terms and terms[lm] < 0:
+            c = -c
+        if c != 1:
+            terms = {k: v // c for k, v in terms.items()}
+        self.terms, self.lam, self.lc = terms, lam * c, terms[lm] if terms else 0
+        self.ecart = max(terms)[0] - lm[0] if terms else 0
+        if rep is not None:
+            den *= c
+            g = math.gcd(den, *(v for r in rep for v in r.values())) * (-1 if den < 0 else 1)
+            if g != 1:
+                rep, den = [{k: v // g for k, v in r.items()} for r in rep], den // g
+        self.rep, self.den = rep, den
+
+
+def _inputs(polys: Sequence[Polynomial], track: bool = False) -> tuple[list[_Elem], list[int]]:
+    """The elements of ``polys``, made integral by the least s_t > 0, and
+    the s_t; tracked, input t has the representation e_t."""
+    elems, scales = [], []
+    for t, p in enumerate(polys):
+        s = math.lcm(*(c.denominator for c in p._terms.values()))
+        terms = {_key(m): c.numerator * (s // c.denominator) for m, c in p._terms.items()}
+        one = {(0,) * (p.context.arity + 1): 1}
+        rep = [one if u == t else {} for u in range(len(polys))] if track else None
+        elems.append(_Elem(terms, Fraction(1, s), rep) if track else _Elem(terms))
+        scales.append(s)
+    return elems, scales
+
+
+def _polynomial(ctx: VarContext, terms: dict, scale) -> Polynomial:
+    return Polynomial._trusted(ctx, {k[:0:-1]: Fraction(scale * c) for k, c in terms.items()})
+
+
+def _representation(ctx: VarContext, e: _Elem, scales: list[int]) -> tuple[Polynomial, ...]:
+    """The exact representation of e's value lam*terms over the inputs."""
+    return tuple(_polynomial(ctx, r, Fraction(e.lam * s, e.den)) for r, s in zip(e.rep, scales))
+
+
+def _combine(a: int, f: dict, b: int, q: tuple, g: dict, cut=math.inf, p=None) -> tuple[dict, bool]:
+    """a*x^p*f - b*x^q*g (p None: x^p = 1) without the terms of x^q*g whose
+    key in g has degree >= ``cut``, and whether there was one."""
+    if p is not None:
+        out = {tuple(map(add, p, k)): a * c for k, c in f.items()}
+    else:
+        out = {k: a * c for k, c in f.items()} if a != 1 else dict(f)
+    dropped = False
+    for k, c in g.items():
+        if k[0] >= cut:
+            dropped = True
+            continue
+        k = tuple(map(add, q, k))
+        v = out.get(k, 0) - b * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out, dropped
+
+
+def _lin(f: _Elem, p: tuple | None, g: _Elem, q: tuple, bound) -> tuple[_Elem, bool]:
+    """a*x^p*f - b*x^q*g with x^p*lm(f) == x^q*lm(g), a = lc_g/d, b = lc_f/d,
+    d = gcd(lc_f, lc_g): a Mora step for ``p`` None, else an S-polynomial;
+    and whether a nonzero term of degree >= ``bound`` was dropped.  A Mora
+    step's f has none, so only g's are cut; a pair is cut afterwards."""
+    d = math.gcd(f.lc, g.lc)
+    a, b = g.lc // d, f.lc // d
+    terms, dropped = _combine(a, f.terms, b, q, g.terms, bound - q[0] if p is None else math.inf, p)
+    if p is not None:
+        kept = {k: c for k, c in terms.items() if k[0] < bound}
+        terms, dropped = kept, len(kept) < len(terms)
+    if f.rep is None:
+        return _Elem(terms), dropped
+    # the value: lam_f*f - (lam_f*lc_f/lc_g)*x^q*g, or x^p*f/lc_f - x^q*g/lc_g
+    lam = (f.lam if p is None else Fraction(1, f.lc)) / a
+    rep = [_combine(a * g.den, r, b * f.den, q, s, math.inf, p)[0] for r, s in zip(f.rep, g.rep)]
+    return _Elem(terms, lam, rep, f.den * g.den), dropped
+
+
+def _mora(h: _Elem, reducers: list[_Elem], bound) -> tuple[_Elem, bool]:
+    """Mora's weak normal form of h against ``reducers`` (extended in
+    place) modulo m^bound, and whether a term was dropped.  Among dividing
+    reducers it picks minimal ecart, ties to the earliest; a partial result
+    of smaller ecart than its reducer joins the reducers, which forces
+    termination in the local ring."""
+    dropped = False
+    while h.terms:
+        lm, best = h.lm, None
+        for g in reducers:
+            if (best is None or g.ecart < best.ecart) and all(map(le, g.lm, lm)):
+                best = g
+        if best is None:
             break
-        e_h = ecart(h, order)
-        # least ecart; ties go to the earliest reducer, divisors first
-        g, lm_g, lc_g, e_g, g_rep = min(usable, key=lambda r: r[3])
-        if e_g > e_h:
-            reducers.append((h, lm_h, lc_h, e_h, h_rep))
-        q, c = monomial_div(lm_h, lm_g), lc_h / lc_g
-        h = h - g.mul_monomial(q, c)
-        if reps is not None:
-            h_rep = [a - b.mul_monomial(q, c) for a, b in zip(h_rep, g_rep)]
-        elif not h.is_zero():
-            if truncate is not None:
-                h = truncate(h)
-            if not h.is_zero():
-                scale = _primitive_scale(h, order)
-                if scale != 1:
-                    h = h.scale(scale)
-    return h, h_rep
+        if best.ecart > h.ecart:
+            reducers.append(h)
+        h, cut = _lin(h, None, best, tuple(map(sub, lm, best.lm)), bound)
+        dropped = dropped or cut
+    return h, dropped
+
+
+def _push(basis: list[_Elem], lms: list[Monomial], e: _Elem) -> None:
+    """Append e, as its own value, and its leading monomial."""
+    e.lam = 1
+    basis.append(e)
+    lms.append(e.lm[:0:-1])
 
 
 def mora_normal_form(
@@ -159,50 +226,25 @@ def mora_normal_form(
     ``unit * p == sum(cofactors[i] * divisors[i]) + remainder`` and
     ``unit(0) != 0``.  The remainder is zero or has leading monomial
     outside the leading ideal of the divisors; against a standard basis
-    this decides membership in the localized ideal.
-
-    Selection rule: among dividing reducers pick minimal ecart (ties:
-    original divisors first, then by index).  When the chosen reducer has
-    larger ecart than the current partial result, the partial result
-    itself joins the reducer set; that is what forces termination in the
-    local ring.
+    this decides membership in the localized ideal.  :func:`_mora` states
+    the selection rule; ties go to the divisors in their order.
     """
-    order = order or LocalOrder()
     divisors = list(divisors)
     if not divisors:
         raise ValueError("divisor list must be nonempty")
+    ctx = p.context
+    zero = Polynomial.zero(ctx)
+    for i, g in enumerate(divisors):
+        # a divisor with nonzero constant term c is a unit of the local
+        # ring: (g/c) * p == (p/c) * g
+        if c0 := g.constant_term():
+            return zero, [p.scale(1 / c0) if j == i else zero
+                          for j in range(len(divisors))], g.scale(1 / c0)
     # inputs (p, divisors...): the remainder is rep[0]*p + sum(rep[1+i]*divisors[i])
-    n = len(divisors) + 1
-    e = [[Polynomial.constant(p.context, int(t == k)) for t in range(n)] for k in range(n)]
-    r, rep = _mora_core(p, divisors, order, reps=(e[0], e[1:]))
-    return r, [-c for c in rep[1:]], rep[0]
-
-
-def _spoly(
-    f: Polynomial, g: Polynomial, order: LocalOrder
-) -> Polynomial:
-    lm_f, lc_f = leading_term(f, order)
-    lm_g, lc_g = leading_term(g, order)
-    lcm = monomial_lcm(lm_f, lm_g)
-    a = f.mul_monomial(monomial_div(lcm, lm_f), 1 / lc_f)
-    b = g.mul_monomial(monomial_div(lcm, lm_g), 1 / lc_g)
-    return a - b
-
-
-def _primitive_scale(p: Polynomial, order: LocalOrder) -> Fraction:
-    """Factor lambda such that lambda*p has coprime integer coefficients
-    and positive leading coefficient (keeps Buchberger arithmetic small)."""
-    coeffs = list(p._terms.values())
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    if leading_term(p, order)[1] < 0:
-        scale = -scale
-    return scale
+    elems, scales = _inputs([p, *divisors], track=True)
+    h, _ = _mora(elems[0], [e for e in elems[1:] if e.terms], math.inf)
+    rep = _representation(ctx, h, scales)
+    return _polynomial(ctx, h.terms, h.lam), [-c for c in rep[1:]], rep[0]
 
 
 @dataclass(frozen=True)
@@ -226,18 +268,18 @@ class StandardBasis:
     representations: tuple[tuple[Polynomial, ...], ...] | None = None
     degree_cap: int | None = None
 
+    @cached_property
+    def _elems(self) -> list[_Elem]:
+        return _inputs(self.generators)[0]
+
     def contains(self, p: Polynomial) -> bool:
         """Membership of ``p`` in the ideal.  With ``degree_cap`` set, p is
         first truncated below it (p minus its truncation lies in
         m^degree_cap, inside the ideal) and divided modulo m^degree_cap."""
-        if p.is_zero():
-            return True
-        cap = self.degree_cap
-        r, _ = _mora_core(
-            p, self.generators, self.order,
-            truncate=None if cap is None else lambda h: _truncate(h, cap),
-        )
-        return r.is_zero()
+        bound = math.inf if self.degree_cap is None else self.degree_cap
+        h = _inputs([p])[0][0]
+        h = _Elem({k: c for k, c in h.terms.items() if k[0] < bound})
+        return not _mora(h, list(self._elems), bound)[0].terms
 
 
 def standard_basis(
@@ -292,81 +334,53 @@ def _complete(
     it is ``None``.  Until a ``provisional`` limit drops a term the run is
     exact: a corner at any degree counts, and without one no cap is set."""
     ctx = next(g for g in inputs if not g.is_zero()).context
-    zero = Polynomial.zero(ctx)
+    track = track_representations
+    elems, scales = _inputs(inputs, track)
 
-    def as_unit(p: Polynomial, rep: list[Polynomial] | None) -> StandardBasis | None:
-        """The ideal is everything once an element with nonzero constant
-        term shows up; {1} is then a standard basis.  With representation
-        tracking this is only expressible when the element is a pure
-        constant (true for homogeneous generators, the tracked use case)."""
-        c0 = p.constant_term()
-        if c0 == 0 or (track_representations and p.total_degree() != 0):
+    def as_unit(e: _Elem) -> StandardBasis | None:
+        """{1}, a standard basis once an element has a nonzero constant
+        term.  Tracked, only a pure constant is expressible (true for
+        homogeneous generators, the tracked use case)."""
+        if e.lm[0] or (track and e.ecart):
             return None
-        return StandardBasis(
-            generators=(Polynomial.constant(ctx, 1),),
-            order=order,
-            leading_monomials=((0,) * ctx.arity,),
-            representations=(
-                (tuple(c.scale(1 / c0) for c in rep),) if track_representations else None
-            ),
-            degree_cap=0,
-        )
+        e.lam = Fraction(1, e.lc)
+        reps = (_representation(ctx, e, scales),) if track else None
+        return StandardBasis((Polynomial.constant(ctx, 1),), order, ((0,) * ctx.arity,), reps, 0)
 
-    basis: list[Polynomial] = []
-    reps: list[list[Polynomial]] = []
-
-    def push(p: Polynomial, rep: list[Polynomial] | None):
-        scale = _primitive_scale(p, order)
-        basis.append(p.scale(scale) if scale != 1 else p)
-        if track_representations:
-            reps.append([c.scale(scale) for c in rep] if scale != 1 else rep)
-
-    for i, g in enumerate(inputs):
-        if g.is_zero():
-            continue
-        rep = [zero] * len(inputs)
-        rep[i] = Polynomial.constant(ctx, 1)
-        shortcut = as_unit(g, rep)
-        if shortcut is not None:
-            return shortcut
-        push(g, rep)
-
-    lms = [leading_term(g, order)[0] for g in basis]
+    basis: list[_Elem] = []
+    lms: list[Monomial] = []
+    for e in elems:
+        if e.terms:
+            if unit := as_unit(e):
+                return unit
+            _push(basis, lms, e)
     cap, exact = None, provisional  # the corner found; nothing dropped yet
-
-    def truncate(p: Polynomial) -> Polynomial:
-        nonlocal exact
-        if limit is None:
-            return p
-        q = _truncate(p, limit if cap is None else cap)
-        exact = exact and (cap is not None or len(q._terms) == len(p._terms))
-        return q
 
     def corner() -> None:
         """Lower the cap to the highest corner of the leading monomials and
-        truncate the elements whose leading monomial lies below it."""
+        truncate, keeping its scale, each element with its lm below it."""
         nonlocal cap
+        if limit is None:
+            return
         # leading monomials of a run that dropped nothing are exact
         bound = cap if cap is not None else None if exact else limit
-        stairs = None if limit is None else _staircase(lms, bound)
-        if stairs is None:
+        if bound is None:
+            stairs = _staircase(lms, None)
+            if stairs is None:
+                return
+            top = 1 + max((sum(m) for m in stairs), default=-1)
+        elif (top := _corner(lms, bound)) == bound:
             return
-        top = 1 + max((sum(m) for m in stairs), default=-1)
-        if bound is None or top < bound:
-            cap = top
-            basis[:] = [_truncate(g, top) if sum(lm) < top else g
-                        for g, lm in zip(basis, lms)]
+        cap = top
+        basis[:] = [_Elem({k: c for k, c in e.terms.items() if k[0] < top}, e.lam)
+                    if e.lm[0] < top else e for e in basis]
 
     corner()
 
     def pair_key(i: int, j: int):
         return order.key(monomial_lcm(lms[i], lms[j]))
 
-    queue = [
-        (pair_key(i, j), i, j)
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-    ]
+    queue = [(pair_key(i, j), i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(queue)
     done: set[frozenset[int]] = set()
     while queue:
@@ -377,60 +391,37 @@ def _complete(
             continue  # product criterion
         # chain criterion: the pair is redundant once some third element
         # divides the lcm and both cross pairs were already handled
-        if any(
-            k != i
-            and k != j
-            and monomial_divides(lms[k], lcm_ij)
-            and frozenset((i, k)) in done
-            and frozenset((k, j)) in done
-            for k in range(len(basis))
-        ):
+        if any(k != i and k != j and monomial_divides(lms[k], lcm_ij)
+               and frozenset((i, k)) in done and frozenset((k, j)) in done
+               for k in range(len(basis))):
             continue
-        sp = truncate(_spoly(basis[i], basis[j], order))
-        if sp.is_zero():
+        bound = math.inf if limit is None else limit if cap is None else cap
+        lcm, f, g = _key(lcm_ij), basis[i], basis[j]
+        sp, dropped = _lin(f, tuple(map(sub, lcm, f.lm)), g, tuple(map(sub, lcm, g.lm)), bound)
+        r, cut = _mora(sp, list(basis), bound)
+        exact = exact and (cap is not None or not (dropped or cut))
+        if not r.terms:
             continue
-        sp_reps = None
-        if track_representations:
-            lc_i = basis[i].coefficient(lms[i])
-            lc_j = basis[j].coefficient(lms[j])
-            qa, qb = monomial_div(lcm_ij, lms[i]), monomial_div(lcm_ij, lms[j])
-            sp_reps = ([a.mul_monomial(qa, 1 / lc_i) - b.mul_monomial(qb, 1 / lc_j)
-                        for a, b in zip(reps[i], reps[j])], reps)
-        r, r_rep = _mora_core(sp, basis, order, reps=sp_reps, truncate=truncate)
-        if r.is_zero():
-            continue
-        shortcut = as_unit(r, r_rep)
-        if shortcut is not None:
-            return shortcut
-        k = len(basis)
-        push(r, r_rep)
-        lms.append(leading_term(basis[k], order)[0])
+        if unit := as_unit(r):
+            return unit
+        _push(basis, lms, r)
+        k = len(basis) - 1
         for t in range(k):
             heapq.heappush(queue, (pair_key(t, k), t, k))
         corner()
 
     # minimalize: drop elements whose leading monomial is divisible by
     # another's (the leading ideal, hence the staircase, is unchanged)
-    keep = []
-    for i, lm in enumerate(lms):
-        dominated = any(
+    keep = sorted(
+        (i for i, lm in enumerate(lms) if not any(
             monomial_divides(lms[j], lm) and (lms[j] != lm or j < i)
-            for j in range(len(basis))
-            if j != i
-        )
-        if not dominated:
-            keep.append(i)
-    keep.sort(key=lambda i: monomial_key(lms[i]))
-    kept = [basis[i] for i in keep]
-    kept_lms = [lms[i] for i in keep]
-    kept_reps = tuple(tuple(reps[i]) for i in keep) if track_representations else None
-    return StandardBasis(
-        generators=tuple(kept),
-        order=order,
-        leading_monomials=tuple(kept_lms),
-        representations=kept_reps,
-        degree_cap=cap if cap is not None or exact else limit,
+            for j in range(len(lms)) if j != i)),
+        key=lambda i: monomial_key(lms[i]),
     )
+    gens = tuple(_polynomial(ctx, basis[i].terms, basis[i].lam) for i in keep)
+    reps = tuple(_representation(ctx, basis[i], scales) for i in keep) if track else None
+    return StandardBasis(gens, order, tuple(lms[i] for i in keep), reps,
+                         cap if cap is not None or exact else limit)
 
 
 def staircase_quotient(
@@ -504,6 +495,26 @@ def _staircase(lms: Sequence[Monomial], cap: int | None) -> Iterator[Monomial] |
     return walk(0, (), tagged, budget)
 
 
+def _corner(lms: Sequence[Monomial], bound: int) -> int:
+    """1 + the top degree of ``_staircase(lms, bound)``: descend from
+    ``bound`` while every monomial of the degree below has a leading
+    monomial dividing it (m^D leading makes m^(D+1) leading too)."""
+    d = bound
+    while d > 0 and all(any(all(map(le, lm, m)) for lm in lms)
+                        for m in _of_degree(len(lms[0]), d - 1)):
+        d -= 1
+    return d
+
+
+@lru_cache(maxsize=None)
+def _of_degree(arity: int, degree: int) -> tuple[Monomial, ...]:
+    """The monomials of total degree ``degree`` in ``arity`` variables."""
+    if arity == 0:
+        return ((),) if degree == 0 else ()
+    return tuple((e, *m) for e in range(degree, -1, -1)
+                 for m in _of_degree(arity - 1, degree - e))
+
+
 def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     """Monomials outside the leading ideal, or an infinite marker.
 
@@ -523,18 +534,6 @@ def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
 
 
 # -- brute-force jet-space oracle ----------------------------------------------
-
-
-def _monomials_below(arity: int, degree: int) -> list[Monomial]:
-    out = []
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-    rec([], degree - 1, arity)
-    return sorted(out, key=monomial_key)
 
 
 def _row_echelon(
@@ -601,7 +600,7 @@ def _stable_jet(
     arity = gens[0].context.arity
     prev = None
     for N in range(2, max_jet + 1):
-        monos = _monomials_below(arity, N)
+        monos = sorted((m for d in range(N) for m in _of_degree(arity, d)), key=monomial_key)
         pivots = _row_echelon(_jet_rows(gens, monos, N))
         codim = len(monos) - len(pivots)
         if codim == prev:

@@ -182,6 +182,29 @@ class TestTrustedArithmetic:
             if shared:
                 assert min(shared) not in (b - a.scale(k))._terms
 
+    def test_derivatives_and_restriction_match_the_checked_constructor(self):
+        rng = random.Random(43)
+        xyz = VarContext(("x", "y", "z"), 0)
+        for _ in range(120):
+            ctx = rng.choice((XY, xyz))
+            p = random_poly(rng, ctx)
+            for i in range(ctx.arity):
+                checked: dict = {}
+                for m, c in p.terms.items():
+                    if m[i]:
+                        dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+                        checked[dm] = checked.get(dm, 0) + c * m[i]
+                d = p.partial_derivative(i)
+                self._assert_clean(d)
+                assert d == Polynomial(ctx, checked)
+                restricted = {}
+                for m, c in p.terms.items():
+                    if not m[i]:
+                        restricted[m[:i] + m[i + 1:]] = restricted.get(m[:i] + m[i + 1:], 0) + c
+                r = p.substitute_zero(i)
+                self._assert_clean(r)
+                assert r == Polynomial(ctx.drop(i), restricted)
+
     def test_mul_monomial_checks_its_monomial(self):
         p = poly("x + y")
         with pytest.raises(ValueError, match="arity"):

@@ -1,10 +1,13 @@
+import hashlib
 import inspect
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import bsing.standard_basis as sb_module
 from bsing.boundary import BoundarySingularity, jacobian_ideal_boundary, milnor_numbers
+from bsing.corpus import boundary_corpus
 from bsing.polyring import (
     Polynomial,
     VarContext,
@@ -21,6 +24,8 @@ from bsing.standard_basis import (
     leading_term,
     mora_normal_form,
     quotient_basis,
+    _corner,
+    _staircase,
     staircase_quotient,
     standard_basis,
 )
@@ -428,3 +433,142 @@ class TestJetOracle:
             _, alg = staircase_quotient(gens)
             assert alg.dimension == dim, [str(g) for g in gens]
             checked += 1
+
+
+def _tracking_ideals():
+    """The fixed ideal and the 60 seeded ones of test_representation_tracking."""
+    rng = random.Random(0)
+    ideals = [[poly("x*y"), poly("x + 3*y^2")]]
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                m = (rng.randint(0, 3), rng.randint(0, 3))
+                if 1 <= sum(m) <= 3:
+                    terms[m] = Fraction(rng.randint(-5, 5))
+            gens.append(Polynomial(XY, terms))
+        if not all(g.is_zero() for g in gens):
+            ideals.append(gens)
+    return ideals
+
+
+def _seeded_ideals():
+    """Boundary Jacobian ideal of the non-isolated x^4*y^4, then per draw a
+    random 2- or 3-variable ideal (mostly unit or non-isolated) and one
+    with a pure power per variable under a random tail (mostly finite
+    colength, with corners below and at 9)."""
+    rng = random.Random(2027)
+    ideals = [jacobian_ideal_boundary(poly("x^4*y^4"))]
+    for arity in (2, 3) * 12:
+        ctx = XY if arity == 2 else XYZ
+        gens = [g for g in (random_poly(rng, ctx, 4 if arity == 2 else 3, 3)
+                            for _ in range(arity + rng.randint(0, 1))) if not g.is_zero()]
+        if gens:
+            ideals.append(gens)
+        gens = []
+        for i in range(arity):
+            tail = random_poly(rng, ctx, 4 if arity == 2 else 3, 3)
+            power = tuple(rng.randint(2, 5 if arity == 2 else 4) if j == i else 0
+                          for j in range(arity))
+            gens.append(tail - Polynomial(ctx, {m: c for m, c in tail.terms.items() if sum(m) < 2})
+                        + Polynomial.monomial(ctx, power, rng.choice((1, 2, 3))))
+        ideals.append(gens)
+    return ideals
+
+
+class TestPinnedIdentity:
+    # sha256 of the records below as the Fraction implementation of Mora
+    # division and completion computed them, before the fraction-free
+    # kernel replaced it: every exact value must survive, down to
+    # generators that corner truncation leaves non-primitive (2*x from
+    # 2*x + 3*y^9) and the representations and unit of each certificate
+    DIGEST = "e1b7c1c240c5ecfcc287050b82065894cfed6310a7bf68266956daa5d017c7a5"
+
+    def test_bases_and_certificates_are_unchanged(self):
+        records = []
+        for bs in boundary_corpus(seed=77, count=12):
+            for sb in (bs.sb_boundary, bs.sb_ambient, bs.sb_restriction):
+                records.append(
+                    None if sb is None else (sb.generators, sb.leading_monomials, sb.degree_cap))
+        contents = {math.gcd(*(int(c) for c in g.terms.values()))
+                    for r in records if r for g in r[0]}
+        assert contents - {1}, "no truncated generator kept its scale"
+        for gens in _seeded_ideals():
+            for cap in (9, None):
+                sb = standard_basis(gens, degree_cap=cap)
+                records.append((sb.generators, sb.leading_monomials, sb.degree_cap))
+        rng = random.Random(3)
+        for gens in _tracking_ideals():
+            sb = standard_basis(gens, track_representations=True)
+            records.append((sb.generators, sb.representations, sb.leading_monomials))
+            p = random_poly(rng, terms=3)
+            records.append(mora_normal_form(p, gens))
+            records.append(mora_normal_form(p, sb.generators))
+        assert len(records) == 305
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == self.DIGEST
+
+
+class TestCornerRule:
+    def test_descending_check_matches_the_staircase_walk(self):
+        rng = random.Random(53)
+        seen = {"one": 0, "no pure power": 0, "bound 1": 0, "lowered": 0}
+        for _ in range(600):
+            arity = rng.randint(1, 3)
+            lms = [tuple(rng.randint(0, 5) for _ in range(arity))
+                   for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.1:
+                lms.append((0,) * arity)
+            bound = rng.choice((1, rng.randint(1, 14)))
+            walk = 1 + max((sum(m) for m in _staircase(lms, bound)), default=-1)
+            assert _corner(lms, bound) == walk, (lms, bound)
+            seen["one"] += (0,) * arity in lms
+            seen["no pure power"] += not all(
+                any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(arity))
+            seen["bound 1"] += bound == 1
+            seen["lowered"] += walk < bound
+        assert min(seen.values()) >= 30, seen
+
+
+def _check_pushed(e, gens, tracked):
+    """A pushed kernel element is a primitive integer polynomial with
+    positive leading coefficient, is its own value, and caches the leading
+    monomial, coefficient and ecart of its terms; tracked, its integer
+    representation satisfies den*terms == sum(rep[t]*s_t*gens[t])."""
+    ctx = gens[0].context
+    assert e.terms and all(type(c) is int and c for c in e.terms.values())
+    assert all(k[0] == sum(k[1:]) for k in e.terms)
+    assert math.gcd(*e.terms.values()) == 1 and e.lam == 1
+    value = Polynomial(ctx, {k[:0:-1]: c for k, c in e.terms.items()})
+    lm, lc = leading_term(value, LocalOrder())
+    assert (e.lm[:0:-1], e.lc) == (lm, lc) and lc > 0
+    assert e.ecart == value.total_degree() - sum(lm)
+    assert (e.rep is not None) == tracked
+    if tracked:
+        acc = Polynomial.zero(ctx)
+        for r, g in zip(e.rep, gens):
+            s = math.lcm(*(c.denominator for c in g.terms.values()))
+            acc = acc + Polynomial(ctx, {k[:0:-1]: c for k, c in r.items()}) * g.scale(s)
+        assert acc == value.scale(e.den)
+
+
+class TestKernelInvariant:
+    def test_pushed_elements_are_primitive_with_fresh_caches(self, monkeypatch):
+        pushed = []
+        real = sb_module._push
+
+        def recording(basis, lms, e):
+            real(basis, lms, e)
+            pushed.append(e)
+
+        monkeypatch.setattr(sb_module, "_push", recording)
+        runs = [(gens, False, cap) for gens in _seeded_ideals() for cap in (9, None)]
+        runs += [(gens, True, None) for gens in _tracking_ideals()]
+        checked = {False: 0, True: 0}
+        for gens, tracked, cap in runs:
+            pushed.clear()
+            standard_basis(gens, track_representations=tracked, degree_cap=cap)
+            for e in pushed:
+                _check_pushed(e, gens, tracked)
+            checked[tracked] += len(pushed)
+        assert min(checked.values()) >= 100, checked
