@@ -24,6 +24,8 @@ from .standard_basis import (
 )
 
 _SCREEN_CAP = 9  # a screened basis modulo m^9 with a corner below 9 is exact
+_NON_ISOLATED = ("boundary Milnor number is infinite; "
+                 "pass allow_non_isolated=True to inspect anyway")
 
 
 class InvalidGermError(ValueError):
@@ -43,12 +45,32 @@ def jacobian_ideal_boundary(f: Polynomial) -> list[Polynomial]:
     if f.constant_term() != 0:
         raise InvalidGermError("f must vanish at the origin")
     b = ctx.boundary_index
-    x = Polynomial.variable(ctx, b)
-    gens = [x * f.partial_derivative(b)]
+    # x*df/dx keeps every monomial with m[b] > 0 and scales it by m[b]
+    gens = [Polynomial._trusted(ctx, {m: c * m[b] for m, c in f._terms.items() if m[b]})]
     gens.extend(
         f.partial_derivative(i) for i in range(ctx.arity) if i != b
     )
     return gens
+
+
+def _axis_orders(gens: list[Polynomial]) -> list[int] | None:
+    """For each variable x_i the least k such that x_i^k is a term of some
+    generator (a constant term counts as k = 0 on every axis), or ``None``
+    when some axis has no such term.
+
+    ``None`` proves the colength infinite: every generator vanishes on
+    that axis, so the ideal lies in the ideal of the axis.  And m^D inside the ideal makes every order at most D: restricted
+    to the x_i-axis, unit * x_i^D = sum(a_j * g_j) has order at least the
+    least order of the g_j there.
+    """
+    orders: list = [None] * gens[0].context.arity
+    for g in gens:
+        for m in g._terms:
+            d = sum(m)
+            for i, e in enumerate(m):
+                if e == d and (orders[i] is None or d < orders[i]):
+                    orders[i] = d
+    return None if None in orders else orders
 
 
 def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
@@ -84,7 +106,10 @@ class BoundarySingularity:
     Immutable after construction, apart from the cache of graded engines
     that the quasihomogeneous computations fill per weight vector; rejects
     non-isolated input (infinite boundary Milnor number) unless
-    ``allow_non_isolated`` is set.
+    ``allow_non_isolated`` is set.  Before building any basis it rejects a
+    boundary ideal with an axis on which no generator has a pure power
+    (:func:`_axis_orders`): each generator vanishes on that axis, so the
+    ideal lies in the axis's ideal and its colength is infinite.
 
     ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
     ``standard_basis(gens, degree_cap=_SCREEN_CAP)`` for the boundary
@@ -105,6 +130,8 @@ class BoundarySingularity:
 
         self.boundary_gens = jacobian_ideal_boundary(f)
         if _screen is None:
+            if not allow_non_isolated and _axis_orders(self.boundary_gens) is None:
+                raise NonIsolatedError(_NON_ISOLATED)
             self.sb_boundary, self.algebra_boundary = _quotient_of(
                 self.boundary_gens, order
             )
@@ -116,10 +143,7 @@ class BoundarySingularity:
                 raise ValueError(f"screened basis has no corner below {_SCREEN_CAP}")
             self.sb_boundary, self.algebra_boundary = sb, quotient_basis(sb)
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
-            raise NonIsolatedError(
-                "boundary Milnor number is infinite; "
-                "pass allow_non_isolated=True to inspect anyway"
-            )
+            raise NonIsolatedError(_NON_ISOLATED)
         self.ambient_gens = jacobian_ideal(f)
         self.sb_ambient, self.algebra_ambient = _quotient_of(
             self.ambient_gens, order

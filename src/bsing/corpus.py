@@ -18,6 +18,7 @@ from .boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
+    _axis_orders,
     jacobian_ideal_boundary,
 )
 from .polyring import Monomial, Polynomial, VarContext
@@ -63,10 +64,14 @@ def boundary_corpus(
     building one exactly can take many runs): one standard basis of the
     boundary Jacobian ideal modulo m^9 must find its highest corner below
     9, certifying m^8 inside the ideal, and its staircase size is then
-    mu_{f,H}.  Survivors keep that basis as their boundary basis (its
-    tail can differ from an unscreened build's) and get the ambient and
-    restriction algebras built exactly.  A few mu = 0 germs are admitted,
-    so ``max_mu`` must be at least 1.
+    mu_{f,H}.  Before it, a candidate is refused with no basis when some
+    axis x_i has no pure power x_i^k with k < 9 among the generators
+    (:func:`bsing.boundary._axis_orders`): with none at all the ideal lies
+    in the axis's ideal, and m^D inside the ideal, restricted to the axis,
+    puts a pure power of order at most D there.  Survivors keep that
+    basis as their boundary basis (its tail can differ from an unscreened
+    build's) and get the ambient and restriction algebras built exactly.
+    A few mu = 0 germs are admitted, so ``max_mu`` must be at least 1.
     """
     if max_mu < 1:
         raise ValueError("max_mu must be >= 1: the mu = 0 germs are rationed")
@@ -77,6 +82,9 @@ def boundary_corpus(
         arity = 2 if rng.random() < 0.65 else 3
         f = random_germ(rng, arity, max_degree=max_degree)
         gens = jacobian_ideal_boundary(f)
+        orders = _axis_orders(gens)
+        if orders is None or max(orders) >= _SCREEN_CAP:
+            continue
         screen = standard_basis(gens, degree_cap=_SCREEN_CAP)
         if screen.degree_cap >= _SCREEN_CAP:
             continue

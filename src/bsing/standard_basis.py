@@ -83,14 +83,6 @@ def leading_term(p: Polynomial, order: LocalOrder) -> tuple[Monomial, Fraction]:
     return m, p._terms[m]
 
 
-def _truncate(p: Polynomial, cap: int) -> Polynomial:
-    """Drop terms of total degree >= cap (sound when working modulo the
-    cap-degree power of the maximal ideal)."""
-    return Polynomial._trusted(
-        p.context, {m: c for m, c in p._terms.items() if sum(m) < cap}
-    )
-
-
 # -- the fraction-free kernel --------------------------------------------------
 # A monomial is keyed by (deg, e_n, ..., e_1), which sorts as LocalOrder.key:
 # min() of the keys is the leading monomial, max()[0] the top degree, and

@@ -9,6 +9,7 @@ from bsing.boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
+    _axis_orders,
     check_additivity,
     jacobian_ideal_boundary,
     milnor_numbers,
@@ -48,6 +49,38 @@ class TestJacobianIdeals:
             poly("x*y"),
             poly("x+3*y^2"),
         ]
+
+    def test_boundary_generator_matches_the_checked_product(self):
+        # x*df/dx is built in one pass; rebuild it as x times df/dx through
+        # the checked constructor, with the boundary variable first or not
+        rng = random.Random(47)
+        uxv = VarContext(("u", "x", "v"), 1)
+        for _ in range(120):
+            ctx = rng.choice((XY, XYZ, uxv))
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                m = tuple(rng.randint(0, 4) for _ in range(ctx.arity))
+                if any(m):
+                    terms[m] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            f = Polynomial(ctx, terms)
+            b = ctx.boundary_index
+            checked: dict = {}
+            for m, c in f.partial_derivative(b).terms.items():
+                xm = m[:b] + (m[b] + 1,) + m[b + 1:]
+                checked[xm] = checked.get(xm, 0) + c
+            got = jacobian_ideal_boundary(f)[0]
+            assert all(type(c) is Fraction and c != 0 for c in got._terms.values())
+            assert got == Polynomial(ctx, checked)
+            assert got == Polynomial.variable(ctx, b) * f.partial_derivative(b)
+            assert Polynomial(ctx, got._terms) == got
+
+    def test_axis_orders(self):
+        # the least pure power per axis; a constant counts on every axis
+        assert _axis_orders(jacobian_ideal_boundary(poly("x*y + y^42"))) == [1, 41]
+        assert _axis_orders(jacobian_ideal_boundary(poly("y^2 - 2*x^2*y + x^4"))) == [2, 1]
+        assert _axis_orders(jacobian_ideal_boundary(poly("x*y^2 + y^3"))) is None
+        assert _axis_orders([poly("x*y"), poly("1 + x*y")]) == [0, 0]
+        assert _axis_orders([poly("x^3 + x*y"), poly("x^2*y + y^5")]) == [3, 5]
 
     def test_constant_term_rejected(self):
         with pytest.raises(InvalidGermError):
@@ -96,7 +129,10 @@ class TestMilnorNumbers:
             bsing("x")
 
     def test_non_isolated_raises_after_the_boundary_basis(self, monkeypatch):
-        # a rejected germ builds no ambient or restriction basis
+        # a rejected germ builds no ambient or restriction basis; one whose
+        # boundary ideal holds no pure power of x builds none at all, while
+        # (y - x^2)^2, with pure powers x^2 and y on the axes, needs its
+        # boundary basis to show that (y - x^2) holds the whole ideal
         calls = []
         real = boundary_module.staircase_quotient
 
@@ -105,9 +141,11 @@ class TestMilnorNumbers:
             return real(gens, order)
 
         monkeypatch.setattr(boundary_module, "staircase_quotient", counting)
-        with pytest.raises(NonIsolatedError, match="boundary Milnor number is infinite"):
-            bsing("x*y^2 + y^3")
-        assert len(calls) == 1
+        for f, bases in [("x*y^2 + y^3", 0), ("y^2 - 2*x^2*y + x^4", 1)]:
+            calls.clear()
+            with pytest.raises(NonIsolatedError, match="boundary Milnor number is infinite"):
+                bsing(f)
+            assert len(calls) == bases, f
 
     def test_non_isolated_markers(self):
         bs = bsing("x", allow_non_isolated=True)
@@ -191,6 +229,38 @@ class TestCorpusScreen:
                 assert sb.degree_cap == top + 1 <= 8, str(f)
             kinds["refused" if screen == INFINITE else "zero" if screen == 0 else "finite"] += 1
         assert min(kinds["refused"], kinds["zero"], kinds["finite"]) >= 100, kinds
+
+    @staticmethod
+    def _axis_refusals():
+        # the candidates of the test above, with the orders of those whose
+        # boundary ideal has an axis free of pure powers or only powers >= 9
+        rng = random.Random(4)
+        candidates = [random_germ(rng, 2 if i % 3 else 3) for i in range(1000)]
+        for f in candidates + [poly("x*y + y^42")]:
+            orders = _axis_orders(jacobian_ideal_boundary(f))
+            if orders is None or max(orders) >= 9:
+                yield f, orders
+
+    def test_axis_certificate_refuses_only_cap9_refusals(self):
+        # such an ideal has no corner below 9, and most cap-9 refusals
+        # (648 of the 1000 candidates) are caught this way
+        refused = list(self._axis_refusals())
+        for f, _ in refused:
+            sb = standard_basis(jacobian_ideal_boundary(f), degree_cap=9)
+            assert sb.degree_cap >= 9, str(f)
+        assert len(refused) == 610
+
+    def test_axis_certificate_refusals_are_non_isolated(self):
+        # an axis free of pure powers proves mu_{f,H} infinite; checked on
+        # the plane candidates (the 3-variable ones are left out: the
+        # boundary bases of many of them are unbounded work, ROADMAP item 5)
+        refused = [f for f, orders in self._axis_refusals()
+                   if orders is None and f.context.arity == 2]
+        assert len(refused) == 331
+        for f in refused:
+            assert BoundarySingularity(f, allow_non_isolated=True).mu_boundary == INFINITE, str(f)
+            with pytest.raises(NonIsolatedError):
+                BoundarySingularity(f)
 
     def test_seeded_corpus_is_pinned(self):
         # germs and (mu_f, mu_{f|H}, mu_{f,H}) as the jet-oracle screen chose them

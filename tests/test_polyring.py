@@ -16,7 +16,6 @@ from bsing.polyring import (
     series_rational_power,
     weighted_degree,
 )
-from bsing.standard_basis import _truncate
 from series_oracle import power_oracle
 
 XY = VarContext(("x", "y"), 0)
@@ -173,7 +172,7 @@ class TestTrustedArithmetic:
             results = [
                 a + b, a - b, -a, a * b, a.scale(c), a.scale(0),
                 a.mul_monomial(m, c), a.mul_monomial(m, 0),
-                a - a, a + (-a), b - a.scale(k), _truncate(a * b, rng.randint(0, 6)),
+                a - a, a + (-a), b - a.scale(k),
             ]
             for p in results:
                 self._assert_clean(p)
