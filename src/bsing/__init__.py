@@ -61,7 +61,6 @@ from .quasihomog import (
 from .standard_basis import (
     INFINITE,
     LocalAlgebra,
-    LocalOrder,
     StandardBasis,
     jet_dimension_oracle,
     jet_membership_oracle,
@@ -80,7 +79,6 @@ __all__ = [
     "INFINITE",
     "InvalidGermError",
     "LocalAlgebra",
-    "LocalOrder",
     "NonIsolatedError",
     "NotQuasihomogeneousError",
     "ParseError",

@@ -17,7 +17,6 @@ from .polyring import Polynomial, VarContext
 from .standard_basis import (
     INFINITE,
     LocalAlgebra,
-    LocalOrder,
     StandardBasis,
     quotient_basis,
     staircase_quotient,
@@ -59,9 +58,10 @@ def _axis_orders(gens: list[Polynomial]) -> list[int] | None:
     when some axis has no such term.
 
     ``None`` proves the colength infinite: every generator vanishes on
-    that axis, so the ideal lies in the ideal of the axis.  And m^D inside the ideal makes every order at most D: restricted
-    to the x_i-axis, unit * x_i^D = sum(a_j * g_j) has order at least the
-    least order of the g_j there.
+    that axis, so the ideal lies in the ideal of the axis.  And m^D inside
+    the ideal makes every order at most D: restricted to the x_i-axis,
+    unit * x_i^D = sum(a_j * g_j) has order at least the least order of the
+    g_j there.
     """
     orders: list = [None] * gens[0].context.arity
     for g in gens:
@@ -86,7 +86,10 @@ def restrict_to_boundary(f: Polynomial) -> Polynomial:
     return f.substitute_zero(b)
 
 
-def _quotient_of(gens: list[Polynomial], order: LocalOrder) -> tuple[StandardBasis | None, LocalAlgebra]:
+def _quotient_of(gens: list[Polynomial]) -> tuple[StandardBasis | None, LocalAlgebra]:
+    """The standard basis and local algebra of (gens); no basis (``None``)
+    for a zero ideal, a unit ideal in no variables, or an ideal that
+    :func:`_axis_orders` proves of infinite colength."""
     live = [g for g in gens if not g.is_zero()]
     if not live:
         ctx_arity = gens[0].context.arity if gens else 0
@@ -96,7 +99,9 @@ def _quotient_of(gens: list[Polynomial], order: LocalOrder) -> tuple[StandardBas
     if live[0].context.arity == 0:
         # nonzero constants generate the unit ideal
         return None, LocalAlgebra((), 0)
-    return staircase_quotient(live, order)
+    if _axis_orders(live) is None:
+        return None, LocalAlgebra((), INFINITE)
+    return staircase_quotient(live)
 
 
 class BoundarySingularity:
@@ -106,10 +111,12 @@ class BoundarySingularity:
     Immutable after construction, apart from the cache of graded engines
     that the quasihomogeneous computations fill per weight vector; rejects
     non-isolated input (infinite boundary Milnor number) unless
-    ``allow_non_isolated`` is set.  Before building any basis it rejects a
-    boundary ideal with an axis on which no generator has a pure power
-    (:func:`_axis_orders`): each generator vanishes on that axis, so the
-    ideal lies in the axis's ideal and its colength is infinite.
+    ``allow_non_isolated`` is set.  No basis is built for an ideal with an
+    axis on which no generator has a pure power (:func:`_axis_orders`):
+    each generator vanishes on that axis, so the ideal lies in the axis's
+    ideal and its colength is infinite.  Its ``sb_*`` attribute is
+    ``None``, as for a zero ideal, and a boundary ideal of that kind is
+    rejected before any other basis is built.
 
     ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
     ``standard_basis(gens, degree_cap=_SCREEN_CAP)`` for the boundary
@@ -126,15 +133,10 @@ class BoundarySingularity:
             raise ValueError("context has no boundary variable")
         self.f = f
         self.ctx: VarContext = f.context
-        order = LocalOrder()
 
         self.boundary_gens = jacobian_ideal_boundary(f)
         if _screen is None:
-            if not allow_non_isolated and _axis_orders(self.boundary_gens) is None:
-                raise NonIsolatedError(_NON_ISOLATED)
-            self.sb_boundary, self.algebra_boundary = _quotient_of(
-                self.boundary_gens, order
-            )
+            self.sb_boundary, self.algebra_boundary = _quotient_of(self.boundary_gens)
         else:
             gens, sb = _screen
             if gens != self.boundary_gens:
@@ -145,16 +147,12 @@ class BoundarySingularity:
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
             raise NonIsolatedError(_NON_ISOLATED)
         self.ambient_gens = jacobian_ideal(f)
-        self.sb_ambient, self.algebra_ambient = _quotient_of(
-            self.ambient_gens, order
-        )
+        self.sb_ambient, self.algebra_ambient = _quotient_of(self.ambient_gens)
         self.restriction = restrict_to_boundary(f)
         # a zero restriction has only zero generators (none in arity 0), for
         # which _quotient_of gives the point algebra or the infinite marker
         self.restriction_gens = jacobian_ideal(self.restriction)
-        self.sb_restriction, self.algebra_restriction = _quotient_of(
-            self.restriction_gens, order
-        )
+        self.sb_restriction, self.algebra_restriction = _quotient_of(self.restriction_gens)
         self._graded_engines: dict = {}
 
     @cached_property

@@ -84,11 +84,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -263,16 +258,6 @@ class Polynomial:
         if c == 0:
             return Polynomial.zero(self.context)
         return Polynomial._trusted(self.context, {m: c * v for m, v in self._terms.items()})
-
-    def mul_monomial(self, m: Monomial, c: Rat = 1) -> "Polynomial":
-        if len(m) != self.context.arity or any(e < 0 for e in m):
-            raise ValueError(f"{m} is not an exponent tuple of arity {self.context.arity}")
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.context)
-        return Polynomial._trusted(
-            self.context, {monomial_mul(m, t): c * v for t, v in self._terms.items()}
-        )
 
     # m -> m / x_i on the terms with m[i] > 0, and m -> m without its
     # entry i on those with m[i] == 0, are injective: no two terms merge,

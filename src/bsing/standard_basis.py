@@ -59,37 +59,15 @@ from .polyring import (
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class LocalOrder:
-    """Negative-degree reverse-lexicographic order.
-
-    Smaller total degree means a *larger* monomial, so 1 is the largest
-    monomial; ties are broken reverse-lexicographically with earlier
-    variables larger (LT(x + y) = x).
-    """
-
-    def key(self, m: Monomial):
-        """Sort key; the largest monomial has the smallest key."""
-        return (self.degree(m), tuple(reversed(m)))
-
-    def degree(self, m: Monomial) -> int:
-        return sum(m)
-
-
-def leading_term(p: Polynomial, order: LocalOrder) -> tuple[Monomial, Fraction]:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    m = min(p._terms, key=order.key)
-    return m, p._terms[m]
-
-
 # -- the fraction-free kernel --------------------------------------------------
-# A monomial is keyed by (deg, e_n, ..., e_1), which sorts as LocalOrder.key:
-# min() of the keys is the leading monomial, max()[0] the top degree, and
-# keys multiply, divide and divide one another exponentwise.
 
 
 def _key(m: Monomial) -> tuple[int, ...]:
+    """The one local order, negative-degree reverse-lexicographic, as the
+    kernel's key (deg, e_n, ..., e_1) of a monomial: 1 is the largest
+    monomial (the least key), and ties go to earlier variables, LT(x + y) = x.
+    min() of the keys is the leading monomial, max()[0] the top degree, and
+    keys multiply, divide and divide one another exponentwise."""
     return (sum(m), *reversed(m))
 
 
@@ -210,7 +188,7 @@ def _push(basis: list[_Elem], lms: list[Monomial], e: _Elem) -> None:
 
 
 def mora_normal_form(
-    p: Polynomial, divisors: Sequence[Polynomial], order: LocalOrder | None = None
+    p: Polynomial, divisors: Sequence[Polynomial]
 ) -> tuple[Polynomial, list[Polynomial], Polynomial]:
     """Mora weak normal form of ``p`` against ``divisors``.
 
@@ -255,7 +233,6 @@ class StandardBasis:
     """
 
     generators: tuple[Polynomial, ...]
-    order: LocalOrder
     leading_monomials: tuple[Monomial, ...]
     representations: tuple[tuple[Polynomial, ...], ...] | None = None
     degree_cap: int | None = None
@@ -276,7 +253,7 @@ class StandardBasis:
 
 def standard_basis(
     gens: Sequence[Polynomial],
-    order: LocalOrder | None = None,
+    *,
     track_representations: bool = False,
     degree_cap: int | None = None,
 ) -> StandardBasis:
@@ -302,25 +279,24 @@ def standard_basis(
     the corner, else ``None`` if nothing was dropped (infinite colength),
     else the given cap.
     """
-    order = order or LocalOrder()
     if degree_cap is not None and track_representations:
         raise ValueError("degree_cap would corrupt tracked representations")
     inputs = tuple(gens)
     if all(g.is_zero() for g in inputs):
         raise ValueError("standard basis of the zero ideal is not supported here")
     if track_representations or degree_cap is not None:
-        return _complete(inputs, order, track_representations, degree_cap)
+        return _complete(inputs, track_representations, degree_cap)
     limit = 6
     while True:
-        sb = _complete(inputs, order, False, limit, provisional=True)
+        sb = _complete(inputs, False, limit, provisional=True)
         if sb.degree_cap != limit:
             return sb
         limit += limit // 2
 
 
 def _complete(
-    inputs: tuple[Polynomial, ...], order: LocalOrder, track_representations: bool,
-    limit: int | None, provisional: bool = False,
+    inputs: tuple[Polynomial, ...], track_representations: bool, limit: int | None,
+    provisional: bool = False,
 ) -> StandardBasis:
     """One run of :func:`standard_basis`, truncating below ``limit`` unless
     it is ``None``.  Until a ``provisional`` limit drops a term the run is
@@ -337,7 +313,7 @@ def _complete(
             return None
         e.lam = Fraction(1, e.lc)
         reps = (_representation(ctx, e, scales),) if track else None
-        return StandardBasis((Polynomial.constant(ctx, 1),), order, ((0,) * ctx.arity,), reps, 0)
+        return StandardBasis((Polynomial.constant(ctx, 1),), ((0,) * ctx.arity,), reps, 0)
 
     basis: list[_Elem] = []
     lms: list[Monomial] = []
@@ -370,7 +346,7 @@ def _complete(
     corner()
 
     def pair_key(i: int, j: int):
-        return order.key(monomial_lcm(lms[i], lms[j]))
+        return _key(monomial_lcm(lms[i], lms[j]))
 
     queue = [(pair_key(i, j), i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(queue)
@@ -412,17 +388,15 @@ def _complete(
     )
     gens = tuple(_polynomial(ctx, basis[i].terms, basis[i].lam) for i in keep)
     reps = tuple(_representation(ctx, basis[i], scales) for i in keep) if track else None
-    return StandardBasis(gens, order, tuple(lms[i] for i in keep), reps,
+    return StandardBasis(gens, tuple(lms[i] for i in keep), reps,
                          cap if cap is not None or exact else limit)
 
 
-def staircase_quotient(
-    gens: Sequence[Polynomial], order: LocalOrder | None = None
-) -> tuple["StandardBasis", "LocalAlgebra"]:
+def staircase_quotient(gens: Sequence[Polynomial]) -> tuple[StandardBasis, "LocalAlgebra"]:
     """Standard basis and staircase of the localized ideal: one call of
     :func:`standard_basis`, which records the highest corner as
     ``degree_cap`` (``None`` for infinite colength)."""
-    sb = standard_basis(gens, order)
+    sb = standard_basis(gens)
     return sb, quotient_basis(sb)
 
 

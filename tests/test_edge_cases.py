@@ -20,7 +20,6 @@ from bsing.quasihomog import (
 )
 from bsing.report import Report, build_report, render_spectrum, render_table_row
 from bsing.standard_basis import (
-    LocalOrder,
     jet_dimension_oracle,
     quotient_basis,
     staircase_quotient,
@@ -150,7 +149,6 @@ class TestCertifiedCapStress:
         # germs built to stay isolated so the uncapped run terminates fast
         ctx = VarContext(("x", "y"), 0)
         rng = random.Random(4242)
-        order = LocalOrder()
         for _ in range(12):
             a, b = rng.randint(2, 5), rng.randint(2, 5)
             extra = {
@@ -167,7 +165,7 @@ class TestCertifiedCapStress:
             dim = jet_dimension_oracle(gens, 14)
             if dim == float("inf") or dim > 25:
                 continue
-            _, alg_fast = staircase_quotient(gens, order)
+            _, alg_fast = staircase_quotient(gens)
             alg_slow = quotient_basis(untruncated_basis(gens))
             assert alg_fast.dimension == alg_slow.dimension == dim
             assert alg_fast.basis_monomials == alg_slow.basis_monomials

@@ -164,20 +164,17 @@ class TestTrustedArithmetic:
         for _ in range(200):
             a, b = random_poly(rng), random_poly(rng)
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            m = (rng.randint(0, 2), rng.randint(0, 2))
             # b - a.scale(k) cancels at least one term of b whenever a and
             # b share a monomial; a - a and a + (-a) cancel everything
             shared = set(a._terms) & set(b._terms)
             k = b._terms[min(shared)] / a._terms[min(shared)] if shared else c
             results = [
                 a + b, a - b, -a, a * b, a.scale(c), a.scale(0),
-                a.mul_monomial(m, c), a.mul_monomial(m, 0),
                 a - a, a + (-a), b - a.scale(k),
             ]
             for p in results:
                 self._assert_clean(p)
             assert (a - a).is_zero() and a.scale(0).is_zero()
-            assert a.mul_monomial(m, 0).is_zero()
             if shared:
                 assert min(shared) not in (b - a.scale(k))._terms
 
@@ -203,14 +200,6 @@ class TestTrustedArithmetic:
                 r = p.substitute_zero(i)
                 self._assert_clean(r)
                 assert r == Polynomial(ctx.drop(i), restricted)
-
-    def test_mul_monomial_checks_its_monomial(self):
-        p = poly("x + y")
-        with pytest.raises(ValueError, match="arity"):
-            p.mul_monomial((1, 0, 0))
-        with pytest.raises(ValueError, match="arity"):
-            p.mul_monomial((1, -1))
-        assert p.mul_monomial((1, 1), 2) == poly("2*x^2*y + 2*x*y^2")
 
 
 class TestRingLaws:

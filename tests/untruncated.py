@@ -1,6 +1,6 @@
 """Untruncated reference standard bases shared by the test modules."""
 
-from bsing.standard_basis import LocalOrder, _complete
+from bsing.standard_basis import _complete
 
 
 def untruncated_basis(gens):
@@ -8,4 +8,4 @@ def untruncated_basis(gens):
 
     A single run of the completion without a truncation degree goes to the
     end uncapped: the reference the capped path is checked against."""
-    return _complete(tuple(gens), LocalOrder(), False, None)
+    return _complete(tuple(gens), False, None)
