@@ -65,10 +65,14 @@ def verify_ode_residual(c: PowerSeries1, w: PowerSeries1, n: int) -> bool:
 
 
 def _at_zero(p: Polynomial, params: Sequence[str], ctx: VarContext) -> Polynomial:
-    """p with every parameter set to zero, over the germ context ``ctx``."""
-    for q in params:
-        p = p.substitute_zero(p.context.index(q))
-    return Polynomial(ctx, p.terms)
+    """p with every parameter set to zero, over the germ context ``ctx``:
+    the terms free of parameters, projected onto the other variables."""
+    drop = {p.context.index(q) for q in params}
+    keep = [i for i in range(p.context.arity) if i not in drop]
+    return Polynomial(ctx, {
+        tuple(m[i] for i in keep): c
+        for m, c in p.terms.items() if not any(m[i] for i in drop)
+    })
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from .polyring import (
     monomial_divides,
     monomial_key,
     monomial_mul,
-    quasihomogeneous_components,
 )
 from .standard_basis import INFINITE, _row_echelon
 
@@ -370,8 +369,8 @@ class _GradedIdeal:
                  mu: int | float | None = None):
         self.gens, self.w, self.mu = tuple(gens), w, mu
         self.ctx = self.gens[0].context
-        scale = math.lcm(*(x.denominator for x in w))
-        self.W = tuple(int(x * scale) for x in w)
+        self.scale = math.lcm(*(x.denominator for x in w))
+        self.W = tuple(int(x * self.scale) for x in w)
         # gens are homogeneous: a stray term of another degree has no column
         self.degrees = [None if g.is_zero() else self.degree(next(iter(g.terms)))
                         for g in self.gens]
@@ -456,16 +455,24 @@ class _GradedIdeal:
         self.top = top
         return self._spectrum
 
+    def parts(
+        self, terms: dict[Monomial, Fraction]
+    ) -> list[tuple[int, dict[Monomial, Fraction]]]:
+        """``terms`` split into weighted-homogeneous parts (D, part), by
+        increasing W-degree D: the order of the weighted degrees D/scale."""
+        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        for m, c in terms.items():
+            buckets.setdefault(self.degree(m), {})[m] = c
+        return sorted(buckets.items())
+
     def decompose(
-        self, part: Polynomial, order: tuple[int, ...]
-    ) -> tuple[dict[Monomial, Fraction], list[Polynomial]]:
-        """part == sum(rem) + sum_j cof[j]*gens[j] for a weighted-homogeneous
-        part, rem on the staircase in column order and every cof[j]
-        weighted-homogeneous; recomposed exactly."""
-        self.spectrum()
-        terms = part.terms
-        columns, index, pivot_columns, pivots, tags = self.echelon(
-            self.degree(next(iter(terms))), order)
+        self, terms: dict[Monomial, Fraction], D: int, order: tuple[int, ...]
+    ) -> tuple[dict[Monomial, Fraction], list[dict[Monomial, Fraction]]]:
+        """terms == rem + sum_j cof[j]*gens[j] for the nonzero terms of one
+        W-degree D, rem on the staircase in column order and cof[j] of
+        W-degree D - deg g_j; the sum is recomposed and checked exactly.
+        Needs the certified staircase: call :meth:`spectrum` first."""
+        columns, index, pivot_columns, pivots, tags = self.echelon(D, order)
         n = len(columns)
         row = {index[m]: c for m, c in terms.items()}
         for p in pivot_columns:
@@ -485,24 +492,27 @@ class _GradedIdeal:
             if k >= n:
                 j, q = tags[k - n]
                 cof[j][q] = -v
-        cofactors = [Polynomial(self.ctx, c) for c in cof]
-        recomposed = Polynomial(self.ctx, rem)
-        for c, g in zip(cofactors, self.gens):
-            recomposed = recomposed + c * g
-        if recomposed != part:
+        back = dict(rem)
+        for c, g in zip(cof, self.gens):
+            for q, a in c.items():
+                for m, b in g._terms.items():
+                    qm = monomial_mul(q, m)
+                    back[qm] = back.get(qm, 0) + a * b
+        if {m: v for m, v in back.items() if v} != terms:
             raise CertificateError("graded decomposition lost exactness")
-        return rem, cofactors
+        return rem, cof
 
     def coordinates(self, g: Polynomial) -> dict[Monomial, Fraction]:
         """Staircase coordinates of g: its exact residue modulo J.  Parts
         above the top degree lie in J and are skipped."""
         self.spectrum()
+        order = self.order()
         out: dict[Monomial, Fraction] = {}
-        for _, part in quasihomogeneous_components(g, self.w):
-            if self.degree(next(iter(part.terms))) <= self.top:
-                for m, c in self.decompose(part, self.order())[0].items():
-                    out[m] = out.get(m, Fraction(0)) + c
-        return {m: c for m, c in out.items() if c != 0}
+        for D, part in self.parts(g.terms):
+            if D > self.top:
+                break
+            out.update(self.decompose(part, D, order)[0])
+        return out
 
 
 def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedIdeal:
@@ -519,11 +529,17 @@ def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedIdeal:
     return st
 
 
+def _check_context(g: Polynomial, bs: BoundarySingularity) -> None:
+    if g.context != bs.ctx:
+        raise ValueError(f"g is over the context {g.context}, not the germ's {bs.ctx}")
+
+
 def quotient_coordinates(
     g: Polynomial, bs: BoundarySingularity, weights: Sequence[Rat]
 ) -> dict[Monomial, Fraction]:
     """Coordinates of g in the staircase basis of Q = O/J_{f,H} (the exact
     residue of g modulo the boundary Jacobian ideal)."""
+    _check_context(g, bs)
     return _engine(bs, weights).coordinates(g)
 
 
@@ -542,38 +558,40 @@ def brieskorn_reduce(
     t * (div V)/s with s = d + |w| - 1, recursing on the strictly smaller
     degree d - 1.
     """
+    _check_context(g, bs)
     st = _engine(bs, weights)
     order = st.order(generator_order)
     st.spectrum()
-    total_w = sum(st.w, Fraction(0))
     b = st.ctx.boundary_index
     ys = [i for i in range(st.ctx.arity) if i != b]
-    x = Polynomial.variable(st.ctx, b)
+    offset = sum(st.W) - st.scale  # s = (D + offset) / scale
 
     coords: dict[int, dict[int, Fraction]] = {}
-    queue: list[tuple[int, Polynomial]] = [(0, g)]
+    queue: list[tuple[int, dict[Monomial, Fraction]]] = [(0, g.terms)]
     while queue:
         tpow, h = queue.pop()
-        if h.is_zero():
-            continue
-        for d, part in quasihomogeneous_components(h, st.w):
-            rem, cof = st.decompose(part, order)
+        for D, part in st.parts(h):
+            rem, cof = st.decompose(part, D, order)
             for m, c in rem.items():
                 slot = coords.setdefault(st.slot[m], {})
                 slot[tpow] = slot.get(tpow, Fraction(0)) + c
-            rem_poly = Polynomial(st.ctx, rem)
-            if part == rem_poly:
+            if rem == part:
                 continue
-            s = d + total_w - 1
-            if s == 0:
+            if D + offset == 0:
                 raise DegenerateDegreeError(
-                    f"rewrite degree s = 0 at weighted degree {d}"
+                    f"rewrite degree s = 0 at weighted degree {Fraction(D, st.scale)}"
                 )
-            div = (cof[0] * x).partial_derivative(b)
-            for k, yi in enumerate(ys):
-                div = div + cof[1 + k].partial_derivative(yi)
-            if not div.is_zero():
-                queue.append((tpow + 1, div.scale(1 / s)))
+            inv_s = Fraction(st.scale, D + offset)
+            # div V = d/dx(x*a_0) + sum_i d/dy_i(a_i), times 1/s
+            div = {q: (q[b] + 1) * c * inv_s for q, c in cof[0].items()}
+            for i, a in zip(ys, cof[1:]):
+                for q, c in a.items():
+                    if q[i]:
+                        m = q[:i] + (q[i] - 1,) + q[i + 1 :]
+                        div[m] = div.get(m, 0) + q[i] * c * inv_s
+            div = {m: c for m, c in div.items() if c}
+            if div:
+                queue.append((tpow + 1, div))
     return BrieskornClass(coords)
 
 

@@ -173,6 +173,13 @@ class TestMilnorNumbers:
         with pytest.raises(NonIsolatedError):
             check_additivity(bs)
 
+    def test_additivity_violation_warns_and_fails(self):
+        # a wrong mu_{f,H}, preset in the cached_property's slot
+        bs = bsing("x^2+y^3")
+        bs.__dict__["mu_boundary"] = bs.mu_boundary + 1
+        with pytest.warns(RuntimeWarning, match="additivity violated"):
+            assert check_additivity(bs) is False
+
 
 class TestCorpusProperties:
     def test_additivity_and_oracle_on_sample(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -131,6 +132,34 @@ class TestReduce:
     def test_zero_polynomial(self):
         bs, w, sp = setup("x^2+y^3")
         assert brieskorn_reduce(Polynomial.zero(XY), bs, w) == BrieskornClass.zero()
+
+
+# sha256 over the reprs below, computed while the graded engine still
+# split g into Polynomial parts at Fraction degrees and took div V from
+# Polynomial derivatives
+BOUNDARY_ANYWHERE_SHA256 = "3095cad9e964c97aef9757e8929b736ec2df3b79a032733fafb43f5e30b7daf0"
+
+
+def test_reductions_with_the_boundary_anywhere_match_the_pinned_digest():
+    # div V takes d/dx(x*a_0) at the boundary index and d/dy_i elsewhere:
+    # pin the classes with the boundary at each of the three positions,
+    # in the default and one permuted generator order (80 reprs; with the
+    # boundary at y, x^2*y + y^3 + z^2 restricts to z^2, not isolated)
+    h = hashlib.sha256()
+    rng = random.Random(2)
+    for germ in ("x^2+y^3+z^4", "x^3+y^2+z^3+x*z^2", "x^2*y+y^3+z^2"):
+        for b in range(3):
+            if (germ, b) == ("x^2*y+y^3+z^2", 1):
+                continue
+            ctx = VarContext(("x", "y", "z"), b)
+            bs = BoundarySingularity(parse_polynomial(germ, ctx))
+            w = detect_weights(bs.f)
+            for _ in range(5):
+                g = random_poly(rng, ctx, max_deg=3, terms=5)
+                for order in (None, [2, 0, 1]):
+                    cls = brieskorn_reduce(g, bs, w, generator_order=order)
+                    h.update(repr(cls).encode())
+    assert h.hexdigest() == BOUNDARY_ANYWHERE_SHA256
 
 
 class TestGaussManin:

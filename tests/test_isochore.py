@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from bsing.boundary import BoundarySingularity
 from bsing.isochore import (
     Deformation,
+    _at_zero,
     isochore_psi,
     verify_ode_residual,
     versality_check,
 )
 from bsing.polyring import (
+    Polynomial,
     PowerSeries1,
     SeriesError,
     VarContext,
@@ -150,3 +153,71 @@ class TestVersality:
         d = family("x^2+y^3+l1*x+l2*y^9", ("x", "y"), ("l1", "l2"))
         assert d.base.f == parse_polynomial("x^2+y^3", VarContext(("x", "y"), 0))
         assert [str(v) for v in d.velocities()] == ["x", "y^9"]
+
+
+def chained_at_zero(p, params, ctx):
+    """The oracle: one parameter at a time set to zero and dropped."""
+    for q in params:
+        p = p.substitute_zero(p.context.index(q))
+    return Polynomial(ctx, p.terms)
+
+
+def seeded_family(rng):
+    """(F, parameters, base context): a germ in 2 or 3 variables plus 1 to 3
+    parameters, all names shuffled, with random terms that carry a
+    parameter and random terms that do not."""
+    germ = ["x^2+y^3", "x*y+y^4", "x^3+y^2+z^2"][rng.randrange(3)]
+    variables = ["x", "y", "z"][: 3 if "z" in germ else 2]
+    params = [f"l{i}" for i in range(rng.randint(1, 3))]
+    names = variables + params
+    rng.shuffle(names)
+    ctx = VarContext(tuple(names), names.index("x"))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        m = tuple(rng.randint(0, 2) for _ in names)
+        terms[m] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+    F_poly = parse_polynomial(germ, ctx) + Polynomial(ctx, terms)
+    base_names = tuple(n for n in names if n not in params)
+    rng.shuffle(params)
+    return F_poly, tuple(params), VarContext(base_names, base_names.index("x"))
+
+
+class TestAtZero:
+    def test_matches_chained_substitution(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            F_poly, params, base_ctx = seeded_family(rng)
+            assert _at_zero(F_poly, params, base_ctx) == chained_at_zero(F_poly, params, base_ctx)
+            for p in params:
+                v = F_poly.partial_derivative(F_poly.context.index(p))
+                assert _at_zero(v, params, base_ctx) == chained_at_zero(v, params, base_ctx)
+
+    def test_deformations_with_parameters_anywhere(self):
+        rng = random.Random(22)
+        built = 0
+        for _ in range(60):
+            F_poly, params, base_ctx = seeded_family(rng)
+            base = chained_at_zero(F_poly, params, base_ctx)
+            if base.is_zero() or base.constant_term() != 0:
+                continue
+            d = Deformation.from_family(F_poly, params, allow_non_isolated=True)
+            assert d.base.f == base
+            index = F_poly.context.index
+            assert d.velocities() == [
+                chained_at_zero(F_poly.partial_derivative(index(p)), params, base_ctx)
+                for p in params
+            ]
+            built += 1
+        assert built >= 30
+
+    def test_a_family_over_another_germ_is_rejected(self):
+        names = ("l1", "x", "l2", "y")
+        ctx = VarContext(names, 1)
+        F_poly = parse_polynomial("x^2+y^3+l1*x+l2*y", ctx)
+        other = BoundarySingularity(parse_polynomial("x^2+y^5", VarContext(("x", "y"), 0)))
+        with pytest.raises(ValueError, match="does not restrict to the base germ"):
+            Deformation(F_poly, ("l2", "l1"), other)
+        d = Deformation.from_family(F_poly, ("l2", "l1"))
+        assert Deformation(F_poly, ("l1", "l2"), d.base).velocities() == [
+            parse_polynomial(v, d.base.ctx) for v in ("x", "y")
+        ]

@@ -422,6 +422,43 @@ class TestGradedEngine:
         assert engine._echelons == {}
 
 
+class TestDecompositionCertificates:
+    def test_a_corrupted_echelon_row_breaks_the_recomposition(self):
+        # a wrong cofactor entry in the cached pivot row of x^2 makes
+        # rem + sum cof_j*g_j differ from the part
+        bs = bsing("x^2+y^3")
+        w = detect_weights(bs.f)
+        spectrum(bs, w)
+        st = bs._graded_engines[w]
+        columns, index, _, pivots, _ = st.echelon(st.degree((2, 0)), st.order())
+        row = pivots[index[(2, 0)]]
+        tag = next(k for k in row if k >= len(columns))
+        row[tag] += 1
+        with pytest.raises(CertificateError, match="lost exactness"):
+            brieskorn_reduce(poly("x^2"), bs, w)
+
+    def test_a_lost_staircase_slot_is_an_escaped_monomial(self):
+        bs = bsing("x^2+y^3")
+        w = detect_weights(bs.f)
+        spectrum(bs, w)
+        del bs._graded_engines[w].slot[(1, 1)]
+        for call in (quotient_coordinates, brieskorn_reduce):
+            with pytest.raises(CertificateError, match="non-staircase monomial escaped"):
+                call(poly("x*y"), bs, w)
+
+    @pytest.mark.parametrize("g,f,names", [
+        ("u*v^2+u^2", "x^2+y^3", ("u", "v")),
+        ("x*y*z", "x^3+y^4", ("x", "y", "z")),
+    ], ids=["same_arity", "other_arity"])
+    def test_a_foreign_context_is_bad_input(self, g, f, names):
+        bs = bsing(f)
+        w = detect_weights(bs.f)
+        foreign = poly(g, VarContext(names, 0))
+        for call in (quotient_coordinates, brieskorn_reduce):
+            with pytest.raises(ValueError, match="context"):
+                call(foreign, bs, w)
+
+
 BP_EXPONENTS = {
     2: [(1, 2), (1, 5), (2, 2), (2, 3), (2, 4), (3, 3), (4, 2)],
     3: [(1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 3)],
