@@ -84,10 +84,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def monomial_weighted_degree(m: Monomial, weights: Sequence[Fraction]) -> Fraction:
     return sum((w * e for w, e in zip(weights, m)), Fraction(0))
 

@@ -30,10 +30,9 @@ rep, den*terms == sum(rep[t]*s_t*input_t) with s_t clearing input t's
 denominators; (lam*s_t/den)*rep[t] is divided out once, at the end.
 
 :func:`standard_basis` truncates at the highest corner (Greuel-Pfister,
-section 1.7), the least D with m^D in the ideal.  A truncating run finds
-it by descending from its truncation degree D while all of degree D-1 is
-leading (m^D leading makes m^(D+1) leading); an exact run with no corner
-yet walks the staircase.
+section 1.7), the least D with m^D in the ideal: 1 + the top degree of the
+staircase of the leading monomials (below the truncation degree once a
+term was dropped), which :func:`_runs` walks.
 """
 
 from __future__ import annotations
@@ -46,15 +45,7 @@ from functools import cached_property, lru_cache
 from operator import add, le, sub
 from typing import Iterator, Sequence
 
-from .polyring import (
-    Monomial,
-    Polynomial,
-    VarContext,
-    monomial_divides,
-    monomial_key,
-    monomial_lcm,
-    monomial_mul,
-)
+from .polyring import Monomial, Polynomial, VarContext, monomial_key, monomial_mul
 
 INFINITE = math.inf
 
@@ -241,13 +232,31 @@ class StandardBasis:
     def _elems(self) -> list[_Elem]:
         return _inputs(self.generators)[0]
 
+    @cached_property
+    def _algebra(self) -> LocalAlgebra:
+        """:func:`quotient_basis`.  A run holds at most one monomial per
+        degree and prefixes come in lexicographic order, so each degree's
+        monomials, reversed, are in ``monomial_key`` order."""
+        runs = _runs(self.leading_monomials, self.degree_cap)
+        if runs is None:
+            return LocalAlgebra((), INFINITE)
+        buckets: list[list[Monomial]] = [
+            [] for _ in range(max((sum(p) + top for p, top in runs), default=0))]
+        for prefix, top in runs:
+            d = sum(prefix)
+            for e in range(top):
+                buckets[d + e].append(prefix + (e,))
+        basis = tuple(m for bucket in buckets for m in reversed(bucket))
+        return LocalAlgebra(basis, len(basis))
+
     def contains(self, p: Polynomial) -> bool:
         """Membership of ``p`` in the ideal.  With ``degree_cap`` set, p is
         first truncated below it (p minus its truncation lies in
         m^degree_cap, inside the ideal) and divided modulo m^degree_cap."""
         bound = math.inf if self.degree_cap is None else self.degree_cap
         h = _inputs([p])[0][0]
-        h = _Elem({k: c for k, c in h.terms.items() if k[0] < bound})
+        if h.terms and h.lm[0] + h.ecart >= bound:
+            h = _Elem({k: c for k, c in h.terms.items() if k[0] < bound})
         return not _mora(h, list(self._elems), bound)[0].terms
 
 
@@ -287,20 +296,21 @@ def standard_basis(
     if track_representations or degree_cap is not None:
         return _complete(inputs, track_representations, degree_cap)
     limit = 6
-    while True:
-        sb = _complete(inputs, False, limit, provisional=True)
-        if sb.degree_cap != limit:
-            return sb
+    while (sb := _complete(inputs, False, limit, provisional=True)) is None:
         limit += limit // 2
+    return sb
 
 
 def _complete(
     inputs: tuple[Polynomial, ...], track_representations: bool, limit: int | None,
     provisional: bool = False,
-) -> StandardBasis:
+) -> StandardBasis | None:
     """One run of :func:`standard_basis`, truncating below ``limit`` unless
     it is ``None``.  Until a ``provisional`` limit drops a term the run is
-    exact: a corner at any degree counts, and without one no cap is set."""
+    exact: a corner at any degree counts, and without one no cap is set.
+    A provisional run that dropped a term and found no corner below its
+    limit returns ``None``; an exact one is final even with its corner at
+    the limit, as a higher limit would repeat it step for step."""
     ctx = next(g for g in inputs if not g.is_zero()).context
     track = track_representations
     elems, scales = _inputs(inputs, track)
@@ -326,45 +336,44 @@ def _complete(
 
     def corner() -> None:
         """Lower the cap to the highest corner of the leading monomials and
-        truncate, keeping its scale, each element with its lm below it."""
+        truncate, keeping its scale, each element with terms on both sides
+        of it (the others would come back unchanged)."""
         nonlocal cap
         if limit is None:
             return
         # leading monomials of a run that dropped nothing are exact
         bound = cap if cap is not None else None if exact else limit
-        if bound is None:
-            stairs = _staircase(lms, None)
-            if stairs is None:
-                return
-            top = 1 + max((sum(m) for m in stairs), default=-1)
-        elif (top := _corner(lms, bound)) == bound:
+        top = _corner(lms, bound)
+        if top is None or top == bound:
             return
         cap = top
-        basis[:] = [_Elem({k: c for k, c in e.terms.items() if k[0] < top}, e.lam)
-                    if e.lm[0] < top else e for e in basis]
+        for n, e in enumerate(basis):
+            if e.lm[0] < top <= e.lm[0] + e.ecart:
+                basis[n] = _Elem({k: c for k, c in e.terms.items() if k[0] < top}, e.lam)
 
     corner()
 
-    def pair_key(i: int, j: int):
-        return _key(monomial_lcm(lms[i], lms[j]))
+    def pair(i: int, j: int) -> tuple[tuple[int, ...], int, int]:
+        """The queue entry of a pair: the key of lcm(lm_i, lm_j) first."""
+        lcm = tuple(map(max, basis[i].lm[1:], basis[j].lm[1:]))
+        return (sum(lcm), *lcm), i, j
 
-    queue = [(pair_key(i, j), i, j) for j in range(len(basis)) for i in range(j)]
+    queue = [pair(i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(queue)
     done: set[frozenset[int]] = set()
     while queue:
-        _, i, j = heapq.heappop(queue)
+        lcm, i, j = heapq.heappop(queue)
         done.add(frozenset((i, j)))
-        lcm_ij = monomial_lcm(lms[i], lms[j])
-        if monomial_mul(lms[i], lms[j]) == lcm_ij:
-            continue  # product criterion
+        f, g = basis[i], basis[j]
+        if lcm[0] == f.lm[0] + g.lm[0]:
+            continue  # product criterion: coprime leading monomials
         # chain criterion: the pair is redundant once some third element
         # divides the lcm and both cross pairs were already handled
-        if any(k != i and k != j and monomial_divides(lms[k], lcm_ij)
+        if any(k != i and k != j and all(map(le, e.lm, lcm))
                and frozenset((i, k)) in done and frozenset((k, j)) in done
-               for k in range(len(basis))):
+               for k, e in enumerate(basis)):
             continue
         bound = math.inf if limit is None else limit if cap is None else cap
-        lcm, f, g = _key(lcm_ij), basis[i], basis[j]
         sp, dropped = _lin(f, tuple(map(sub, lcm, f.lm)), g, tuple(map(sub, lcm, g.lm)), bound)
         r, cut = _mora(sp, list(basis), bound)
         exact = exact and (cap is not None or not (dropped or cut))
@@ -375,15 +384,18 @@ def _complete(
         _push(basis, lms, r)
         k = len(basis) - 1
         for t in range(k):
-            heapq.heappush(queue, (pair_key(t, k), t, k))
+            heapq.heappush(queue, pair(t, k))
         corner()
 
+    if provisional and cap is None and not exact:
+        return None
     # minimalize: drop elements whose leading monomial is divisible by
     # another's (the leading ideal, hence the staircase, is unchanged)
+    keys = [e.lm for e in basis]
     keep = sorted(
-        (i for i, lm in enumerate(lms) if not any(
-            monomial_divides(lms[j], lm) and (lms[j] != lm or j < i)
-            for j in range(len(lms)) if j != i)),
+        (i for i, lm in enumerate(keys) if not any(
+            all(map(le, m, lm)) and (m != lm or j < i)
+            for j, m in enumerate(keys) if j != i)),
         key=lambda i: monomial_key(lms[i]),
     )
     gens = tuple(_polynomial(ctx, basis[i].terms, basis[i].lam) for i in keep)
@@ -412,64 +424,79 @@ class LocalAlgebra:
         return self.dimension != INFINITE
 
 
-def _staircase(lms: Sequence[Monomial], cap: int | None) -> Iterator[Monomial] | None:
+def _runs(lms: Sequence[Monomial], cap: int | None) -> list[tuple[Monomial, int]] | None:
     """The standard monomials of the leading monomials ``lms`` (outside
-    their ideal, and of degree below ``cap`` when set); ``None`` when there
-    are infinitely many, i.e. with no cap some variable has no pure power
-    among them.
+    their ideal, and of degree below ``cap`` when set) as runs ``(prefix,
+    top)``: the monomials ``prefix + (e,)`` for 0 <= e < top.  ``None`` when
+    there are infinitely many, i.e. with no cap some variable has no pure
+    power among them.
 
     The walk fixes one exponent at a time.  At depth i it keeps the leading
     monomials that divide the prefix in the first i variables; the exponent
     of variable i stops rising once one of them, with zeros in every later
     variable, divides the prefix, or once the prefix uses up the degree
     budget.  Every branch that is entered holds a standard monomial (its
-    prefix padded with zeros), so the work is proportional to the output.
-    Prefixes come in lexicographic order and the last exponent falls, so
-    each branch yields its monomial of highest degree first; callers that
-    need an order sort.
+    prefix padded with zeros), so the work is proportional to the number
+    of runs.  Prefixes come in lexicographic order.
     """
     if not lms:
         return None
-    arity = len(lms[0])
-    # each leading monomial with the index of its last nonzero exponent
-    tagged = [(lm, max((i for i, e in enumerate(lm) if e), default=-1)) for lm in lms]
-    if any(last < 0 for _, last in tagged):
-        return iter(())  # 1 is leading: the quotient is zero
+    leaf = len(lms[0]) - 1
+    if not all(map(any, lms)):
+        return []  # 1 is leading: the quotient is zero
     if cap is not None:
         budget = cap - 1
     else:
-        pures = [[lm[i] for lm, last in tagged if last == i and not any(lm[:i])]
-                 for i in range(arity)]
+        pures = [min((lm[i] for lm in lms if lm[i] == sum(lm)), default=0)
+                 for i in range(leaf + 1)]
         if not all(pures):
             return None
         # a standard monomial stays below every pure power
-        budget = sum(min(p) - 1 for p in pures)
+        budget = sum(pures) - leaf - 1
+    runs: list[tuple[Monomial, int]] = []
 
-    def walk(i: int, prefix: Monomial, active: list, budget: int):
-        stop = min((lm[i] for lm, last in active if last <= i), default=budget + 1)
-        top = min(stop, budget + 1)
-        if i == arity - 1:
-            # highest exponent first: a branch's top-degree monomial leads
-            for e in range(top - 1, -1, -1):
-                yield prefix + (e,)
-            return
-        for e in range(top):
-            yield from walk(
-                i + 1, prefix + (e,), [t for t in active if t[0][i] <= e], budget - e
-            )
+    def walk(i: int, prefix: Monomial, active: Sequence[Monomial], budget: int) -> None:
+        if i == leaf:  # one variable
+            if (top := min(min(lm[i] for lm in active), budget + 1)) > 0:
+                runs.append((prefix, top))
+        elif i < leaf - 1:
+            top = min((lm[i] for lm in active if not any(lm[i + 1:])), default=budget + 1)
+            for e in range(min(top, budget + 1)):
+                walk(i + 1, prefix + (e,), [lm for lm in active if lm[i] <= e], budget - e)
+        else:
+            # the last variable stops at the least last exponent among the
+            # lms with lm[i] <= e, a running minimum; it reaches 0, ending
+            # the runs, where variable i stops
+            steps = sorted([(lm[i], lm[leaf]) for lm in active])
+            k, low = 0, budget + 1
+            for e in range(budget + 1):
+                while k < len(steps) and steps[k][0] <= e:
+                    low = min(low, steps[k][1])
+                    k += 1
+                if not (top := min(low, budget + 1 - e)):
+                    break
+                runs.append((prefix + (e,), top))
 
-    return walk(0, (), tagged, budget)
+    walk(0, (), lms, budget)
+    return runs
 
 
-def _corner(lms: Sequence[Monomial], bound: int) -> int:
-    """1 + the top degree of ``_staircase(lms, bound)``: descend from
-    ``bound`` while every monomial of the degree below has a leading
-    monomial dividing it (m^D leading makes m^(D+1) leading too)."""
-    d = bound
-    while d > 0 and all(any(all(map(le, lm, m)) for lm in lms)
-                        for m in _of_degree(len(lms[0]), d - 1)):
-        d -= 1
-    return d
+def _staircase(lms: Sequence[Monomial], cap: int | None) -> Iterator[Monomial] | None:
+    """The standard monomials of :func:`_runs`, run by run, or ``None``."""
+    runs = _runs(lms, cap)
+    if runs is None:
+        return None
+    return (prefix + (e,) for prefix, top in runs for e in range(top))
+
+
+def _corner(lms: Sequence[Monomial], bound: int | None) -> int | None:
+    """1 + the top degree of the standard monomials of ``lms`` below
+    ``bound`` (of any degree for ``None``), or ``None`` when they are
+    infinitely many: a run's top monomial has degree sum(prefix) + top - 1."""
+    runs = _runs(lms, bound)
+    if runs is None:
+        return None
+    return max((sum(prefix) + top for prefix, top in runs), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -484,19 +511,14 @@ def _of_degree(arity: int, degree: int) -> tuple[Monomial, ...]:
 def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     """Monomials outside the leading ideal, or an infinite marker.
 
-    The standard monomials come from :func:`_staircase`, whose work is
-    proportional to their number, sorted by
-    :func:`bsing.polyring.monomial_key`.  The complement is
-    finite iff every variable has a pure power among the leading
-    monomials.  With ``sb.degree_cap`` D every monomial of degree >= D
-    counts as leading (the ideal contains m^D), so the complement is
-    always finite.
+    The standard monomials, sorted by :func:`bsing.polyring.monomial_key`,
+    come from the runs of :func:`_runs`, whose work is proportional to
+    their number.  The complement is finite iff every variable has a pure
+    power among the leading monomials.  With ``sb.degree_cap`` D every
+    monomial of degree >= D counts as leading (the ideal contains m^D), so
+    the complement is always finite.  It is computed once per basis.
     """
-    monomials = _staircase(sb.leading_monomials, sb.degree_cap)
-    if monomials is None:
-        return LocalAlgebra((), INFINITE)
-    basis = sorted(monomials, key=monomial_key)
-    return LocalAlgebra(tuple(basis), len(basis))
+    return sb._algebra
 
 
 # -- brute-force jet-space oracle ----------------------------------------------

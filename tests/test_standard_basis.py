@@ -14,7 +14,7 @@ from bsing.boundary import (
     jacobian_ideal_boundary,
     milnor_numbers,
 )
-from bsing.corpus import boundary_corpus
+from bsing.corpus import NORMAL_FORMS, boundary_corpus, family_normal_form
 from bsing.polyring import (
     Polynomial,
     VarContext,
@@ -203,6 +203,13 @@ class TestQuotientBasis:
         assert alg.dimension == INFINITE
         assert not alg.is_finite
 
+    def test_one_algebra_per_basis(self):
+        sb = standard_basis([poly("x^3 - y^4"), poly("x*y^2 + x^4")])
+        assert quotient_basis(sb) is quotient_basis(sb)
+        # the corpus screen's basis is the boundary basis, with its algebra
+        for bs in boundary_corpus(seed=77, count=12):
+            assert bs.algebra_boundary is quotient_basis(bs.sb_boundary)
+
     @staticmethod
     def box_staircase(lms, cap):
         """Reference: scan the box of pure-power (or cap) bounds and keep
@@ -318,7 +325,8 @@ class TestStaircaseQuotient:
         # 13, ...; it is repeated while it drops terms and finds no corner
         # below that degree.  Uncapped Mora division on the first ideal (the
         # boundary Jacobian ideal of a germ of boundary_corpus(seed=24))
-        # runs for minutes; the last ideal drops nothing and is exact.
+        # runs for minutes; the last two ideals drop nothing and are exact,
+        # and an exact run is final even with its corner at the limit.
         limits = []
         real = sb_module._complete
 
@@ -330,6 +338,7 @@ class TestStaircaseQuotient:
         cases = [
             (poly("x*z + y^3*z + y^2*z^2 + x^3*y*z + z^5 - y^6", XYZ), [6, 9], 8, 15),
             (poly("x^4*y^4 + x^9 + y^9"), [6, 9, 13, 19], 15, 63),
+            (poly("x^4 + y^4"), [6], 6, 12),
             (poly("x^4*y^4"), [6], None, INFINITE),
         ]
         for f, want_limits, corner, mu in cases:
@@ -342,6 +351,32 @@ class TestStaircaseQuotient:
                 assert jet_dimension_oracle(gens, corner + 1) == mu, str(f)
                 top = max(sum(m) for m in alg.basis_monomials)
                 assert top + 1 == corner, str(f)
+        # the run at 9 that used to repeat the exact run of x^4 + y^4 at 6
+        # makes the same basis
+        gens = jacobian_ideal_boundary(poly("x^4 + y^4"))
+        assert standard_basis(gens) == real(tuple(gens), False, 9, True)
+
+    def test_runs_to_build_the_normal_forms(self, monkeypatch):
+        # a deterministic counter: completion runs behind the 60 bases of the
+        # 20 normal forms with k <= 7 (67 before an exact provisional run
+        # was final)
+        calls, runs = [], []
+        real_sb, real_complete = sb_module.standard_basis, sb_module._complete
+
+        def counting_sb(*args, **kwargs):
+            calls.append(1)
+            return real_sb(*args, **kwargs)
+
+        def counting_complete(*args, **kwargs):
+            runs.append(1)
+            return real_complete(*args, **kwargs)
+
+        monkeypatch.setattr(sb_module, "standard_basis", counting_sb)
+        monkeypatch.setattr(sb_module, "_complete", counting_complete)
+        for name, family in NORMAL_FORMS.items():
+            for k in family.k_values(7):
+                BoundarySingularity(family_normal_form(name, k))
+        assert (len(calls), len(runs)) == (60, 62)
 
     def test_uncertified_cap_describes_ideal_plus_cap_power(self):
         # modulo m^4 the ideal (x^4, y^4, z^5) is all of m^4 although no
@@ -520,7 +555,9 @@ class TestPinnedIdentity:
 
 
 class TestCornerRule:
-    def test_descending_check_matches_the_staircase_walk(self):
+    def test_corner_matches_the_box_scan(self):
+        # the corner and the staircase both come from the runs of one walk;
+        # the box scan checks them independently
         rng = random.Random(53)
         seen = {"one": 0, "no pure power": 0, "bound 1": 0, "lowered": 0}
         for _ in range(600):
@@ -530,8 +567,10 @@ class TestCornerRule:
             if rng.random() < 0.1:
                 lms.append((0,) * arity)
             bound = rng.choice((1, rng.randint(1, 14)))
-            walk = 1 + max((sum(m) for m in _staircase(lms, bound)), default=-1)
+            box = TestQuotientBasis.box_staircase(lms, bound)
+            walk = 1 + max((sum(m) for m in box), default=-1)
             assert _corner(lms, bound) == walk, (lms, bound)
+            assert sorted(_staircase(lms, bound), key=monomial_key) == box, (lms, bound)
             seen["one"] += (0,) * arity in lms
             seen["no pure power"] += not all(
                 any(lm[i] and sum(lm) == lm[i] for lm in lms) for i in range(arity))
