@@ -14,13 +14,7 @@ import warnings
 from functools import cached_property
 
 from .polyring import Polynomial, VarContext
-from .standard_basis import (
-    INFINITE,
-    LocalAlgebra,
-    StandardBasis,
-    quotient_basis,
-    staircase_quotient,
-)
+from .standard_basis import INFINITE, StandardBasis, quotient_basis, staircase_quotient
 
 _SCREEN_CAP = 9  # a screened basis modulo m^9 with a corner below 9 is exact
 _NON_ISOLATED = ("boundary Milnor number is infinite; "
@@ -52,27 +46,6 @@ def jacobian_ideal_boundary(f: Polynomial) -> list[Polynomial]:
     return gens
 
 
-def _axis_orders(gens: list[Polynomial]) -> list[int] | None:
-    """For each variable x_i the least k such that x_i^k is a term of some
-    generator (a constant term counts as k = 0 on every axis), or ``None``
-    when some axis has no such term.
-
-    ``None`` proves the colength infinite: every generator vanishes on
-    that axis, so the ideal lies in the ideal of the axis.  And m^D inside
-    the ideal makes every order at most D: restricted to the x_i-axis,
-    unit * x_i^D = sum(a_j * g_j) has order at least the least order of the
-    g_j there.
-    """
-    orders: list = [None] * gens[0].context.arity
-    for g in gens:
-        for m in g._terms:
-            d = sum(m)
-            for i, e in enumerate(m):
-                if e == d and (orders[i] is None or d < orders[i]):
-                    orders[i] = d
-    return None if None in orders else orders
-
-
 def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
     """Generators (all partial derivatives) of the ordinary Jacobian ideal."""
     return [f.partial_derivative(i) for i in range(f.context.arity)]
@@ -86,24 +59,6 @@ def restrict_to_boundary(f: Polynomial) -> Polynomial:
     return f.substitute_zero(b)
 
 
-def _quotient_of(gens: list[Polynomial]) -> tuple[StandardBasis | None, LocalAlgebra]:
-    """The standard basis and local algebra of (gens); no basis (``None``)
-    for a zero ideal, a unit ideal in no variables, or an ideal that
-    :func:`_axis_orders` proves of infinite colength."""
-    live = [g for g in gens if not g.is_zero()]
-    if not live:
-        ctx_arity = gens[0].context.arity if gens else 0
-        if ctx_arity == 0:
-            return None, LocalAlgebra(((),), 1)
-        return None, LocalAlgebra((), INFINITE)
-    if live[0].context.arity == 0:
-        # nonzero constants generate the unit ideal
-        return None, LocalAlgebra((), 0)
-    if _axis_orders(live) is None:
-        return None, LocalAlgebra((), INFINITE)
-    return staircase_quotient(live)
-
-
 class BoundarySingularity:
     """A germ f with a marked boundary hyperplane, with its standard bases
     and local algebras computed eagerly.
@@ -111,12 +66,12 @@ class BoundarySingularity:
     Immutable after construction, apart from the cache of graded engines
     that the quasihomogeneous computations fill per weight vector; rejects
     non-isolated input (infinite boundary Milnor number) unless
-    ``allow_non_isolated`` is set.  No basis is built for an ideal with an
-    axis on which no generator has a pure power (:func:`_axis_orders`):
-    each generator vanishes on that axis, so the ideal lies in the axis's
-    ideal and its colength is infinite.  Its ``sb_*`` attribute is
-    ``None``, as for a zero ideal, and a boundary ideal of that kind is
-    rejected before any other basis is built.
+    ``allow_non_isolated`` is set.  Each ideal goes through
+    :func:`bsing.standard_basis.staircase_quotient`, so its ``sb_*``
+    attribute is ``None`` where that builds no basis: for a zero ideal, or
+    one with an axis free of pure powers (infinite colength).  A
+    non-isolated germ is rejected before the ambient and restriction
+    ideals are touched.
 
     ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
     ``standard_basis(gens, degree_cap=_SCREEN_CAP)`` for the boundary
@@ -136,7 +91,7 @@ class BoundarySingularity:
 
         self.boundary_gens = jacobian_ideal_boundary(f)
         if _screen is None:
-            self.sb_boundary, self.algebra_boundary = _quotient_of(self.boundary_gens)
+            self.sb_boundary, self.algebra_boundary = staircase_quotient(self.boundary_gens)
         else:
             gens, sb = _screen
             if gens != self.boundary_gens:
@@ -147,12 +102,12 @@ class BoundarySingularity:
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
             raise NonIsolatedError(_NON_ISOLATED)
         self.ambient_gens = jacobian_ideal(f)
-        self.sb_ambient, self.algebra_ambient = _quotient_of(self.ambient_gens)
+        self.sb_ambient, self.algebra_ambient = staircase_quotient(self.ambient_gens)
         self.restriction = restrict_to_boundary(f)
-        # a zero restriction has only zero generators (none in arity 0), for
-        # which _quotient_of gives the point algebra or the infinite marker
+        # a zero restriction has only zero generators (none in arity 0), which
+        # staircase_quotient takes to the point algebra or the infinite marker
         self.restriction_gens = jacobian_ideal(self.restriction)
-        self.sb_restriction, self.algebra_restriction = _quotient_of(self.restriction_gens)
+        self.sb_restriction, self.algebra_restriction = staircase_quotient(self.restriction_gens)
         self._graded_engines: dict = {}
 
     @cached_property

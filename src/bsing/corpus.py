@@ -18,12 +18,11 @@ from .boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
-    _axis_orders,
     jacobian_ideal_boundary,
 )
 from .polyring import Monomial, Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
-from .standard_basis import INFINITE, quotient_basis, standard_basis
+from .standard_basis import INFINITE, _axis_orders, quotient_basis, standard_basis
 
 DEFAULT_SEED = 20240
 
@@ -66,9 +65,9 @@ def boundary_corpus(
     9, certifying m^8 inside the ideal, and its staircase size is then
     mu_{f,H}.  Before it, a candidate is refused with no basis when some
     axis x_i has no pure power x_i^k with k < 9 among the generators
-    (:func:`bsing.boundary._axis_orders`): with none at all the ideal lies
-    in the axis's ideal, and m^D inside the ideal, restricted to the axis,
-    puts a pure power of order at most D there.  Survivors keep that
+    (:func:`bsing.standard_basis._axis_orders`): with none at all the
+    ideal lies in the axis's ideal, and m^D inside the ideal, restricted to
+    the axis, puts a pure power of order at most D there.  Survivors keep that
     basis as their boundary basis (its tail can differ from an unscreened
     build's) and get the ambient and restriction algebras built exactly.
     A few mu = 0 germs are admitted, so ``max_mu`` must be at least 1.

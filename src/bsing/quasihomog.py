@@ -49,6 +49,7 @@ from .polyring import (
     monomial_divides,
     monomial_key,
     monomial_mul,
+    monomial_weighted_degree,
 )
 from .standard_basis import INFINITE, _row_echelon
 
@@ -107,12 +108,11 @@ def detect_weights(f: Polynomial) -> tuple[Fraction, ...]:
 
 def euler_check(f: Polynomial, weights: Sequence[Rat]) -> bool:
     """Exact verification of the Euler identity
-    sum_i w_i x_i df/dx_i == f."""
+    sum_i w_i x_i df/dx_i == f.  Its left side scales each term of f by
+    the weighted degree of its monomial, so it holds iff every monomial of
+    f has weighted degree 1."""
     w = check_weights(weights, f.context.arity)
-    acc = Polynomial.zero(f.context)
-    for i in range(f.context.arity):
-        acc = acc + (Polynomial.variable(f.context, i) * f.partial_derivative(i)).scale(w[i])
-    return acc == f
+    return all(monomial_weighted_degree(m, w) == 1 for m in f._terms)
 
 
 # -- spectrum and monodromy ------------------------------------------------------
@@ -219,11 +219,10 @@ def spectrum_splitting_check(
     boundary weights.  The two ordinary spectra are built once and kept on
     the germ's graded engine.
     """
-    w = check_weights(weights, bs.ctx.arity)
-    rel = Counter(spectrum(bs, w).alphas())
-    st = _engine(bs, w)
+    st = _engine(bs, weights)
+    rel = Counter(st.spectrum().alphas())
     if st.ordinary is None:
-        b = bs.ctx.boundary_index
+        w, b = st.w, bs.ctx.boundary_index
         w_rest = w[:b] + w[b + 1 :]
         if bs.restriction.is_zero() or not w_rest:
             raise NotQuasihomogeneousError(

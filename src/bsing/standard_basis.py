@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, le, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .polyring import Monomial, Polynomial, VarContext, monomial_key, monomial_mul
 
@@ -60,6 +60,15 @@ def _key(m: Monomial) -> tuple[int, ...]:
     min() of the keys is the leading monomial, max()[0] the top degree, and
     keys multiply, divide and divide one another exponentwise."""
     return (sum(m), *reversed(m))
+
+
+def _context(polys: Sequence[Polynomial]) -> VarContext:
+    """The context of ``polys``, which must all share it (ValueError)."""
+    ctx = polys[0].context
+    for p in polys:
+        if p.context is not ctx and p.context != ctx:
+            raise ValueError("polynomials from different contexts")
+    return ctx
 
 
 class _Elem:
@@ -193,7 +202,7 @@ def mora_normal_form(
     divisors = list(divisors)
     if not divisors:
         raise ValueError("divisor list must be nonempty")
-    ctx = p.context
+    ctx = _context([p, *divisors])
     zero = Polynomial.zero(ctx)
     for i, g in enumerate(divisors):
         # a divisor with nonzero constant term c is a unit of the local
@@ -253,6 +262,8 @@ class StandardBasis:
         """Membership of ``p`` in the ideal.  With ``degree_cap`` set, p is
         first truncated below it (p minus its truncation lies in
         m^degree_cap, inside the ideal) and divided modulo m^degree_cap."""
+        if self.generators:
+            _context([p, *self.generators])
         bound = math.inf if self.degree_cap is None else self.degree_cap
         h = _inputs([p])[0][0]
         if h.terms and h.lm[0] + h.ecart >= bound:
@@ -293,6 +304,7 @@ def standard_basis(
     inputs = tuple(gens)
     if all(g.is_zero() for g in inputs):
         raise ValueError("standard basis of the zero ideal is not supported here")
+    _context(inputs)
     if track_representations or degree_cap is not None:
         return _complete(inputs, track_representations, degree_cap)
     limit = 6
@@ -311,7 +323,7 @@ def _complete(
     A provisional run that dropped a term and found no corner below its
     limit returns ``None``; an exact one is final even with its corner at
     the limit, as a higher limit would repeat it step for step."""
-    ctx = next(g for g in inputs if not g.is_zero()).context
+    ctx = inputs[0].context
     track = track_representations
     elems, scales = _inputs(inputs, track)
 
@@ -404,11 +416,48 @@ def _complete(
                          cap if cap is not None or exact else limit)
 
 
-def staircase_quotient(gens: Sequence[Polynomial]) -> tuple[StandardBasis, "LocalAlgebra"]:
-    """Standard basis and staircase of the localized ideal: one call of
+def _axis_orders(gens: list[Polynomial]) -> list[int] | None:
+    """For each variable x_i the least k such that x_i^k is a term of some
+    generator (a constant term counts as k = 0 on every axis), or ``None``
+    when some axis has no such term.
+
+    ``None`` proves the colength infinite: every generator vanishes on
+    that axis, so the ideal lies in the ideal of the axis.  And m^D inside
+    the ideal makes every order at most D: restricted to the x_i-axis,
+    unit * x_i^D = sum(a_j * g_j) has order at least the least order of the
+    g_j there.
+    """
+    orders: list = [None] * gens[0].context.arity
+    for g in gens:
+        for m in g._terms:
+            d = sum(m)
+            for i, e in enumerate(m):
+                if e == d and (orders[i] is None or d < orders[i]):
+                    orders[i] = d
+    return None if None in orders else orders
+
+
+def staircase_quotient(gens: Sequence[Polynomial]) -> tuple[StandardBasis | None, "LocalAlgebra"]:
+    """Standard basis and staircase of the localized ideal (gens), with
+    zero generators dropped.
+
+    No basis (``None``) is built for a zero ideal, whose algebra is the
+    point in no variables (an empty list is the Jacobian ideal of a germ
+    in no variables) and infinite otherwise, nor for an ideal with an axis
+    on which no generator has a pure power (:func:`_axis_orders`): each
+    generator vanishes on that axis, so the ideal lies in the axis's ideal
+    and its colength is infinite.  Any other ideal takes one call of
     :func:`standard_basis`, which records the highest corner as
-    ``degree_cap`` (``None`` for infinite colength)."""
-    sb = standard_basis(gens)
+    ``degree_cap`` (``None`` for infinite colength).
+    """
+    gens = list(gens)
+    arity = _context(gens).arity if gens else 0
+    live = [g for g in gens if not g.is_zero()]
+    if not live:
+        return None, LocalAlgebra((), INFINITE) if arity else LocalAlgebra(((),), 1)
+    if _axis_orders(live) is None:
+        return None, LocalAlgebra((), INFINITE)
+    sb = standard_basis(live)
     return sb, quotient_basis(sb)
 
 
@@ -479,14 +528,6 @@ def _runs(lms: Sequence[Monomial], cap: int | None) -> list[tuple[Monomial, int]
 
     walk(0, (), lms, budget)
     return runs
-
-
-def _staircase(lms: Sequence[Monomial], cap: int | None) -> Iterator[Monomial] | None:
-    """The standard monomials of :func:`_runs`, run by run, or ``None``."""
-    runs = _runs(lms, cap)
-    if runs is None:
-        return None
-    return (prefix + (e,) for prefix, top in runs for e in range(top))
 
 
 def _corner(lms: Sequence[Monomial], bound: int | None) -> int | None:

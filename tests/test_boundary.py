@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-import bsing.boundary as boundary_module
+import bsing.standard_basis as sb_module
 from bsing.boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
-    _axis_orders,
     check_additivity,
     jacobian_ideal_boundary,
     milnor_numbers,
@@ -19,6 +18,8 @@ from bsing.corpus import boundary_corpus, random_germ
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
 from bsing.standard_basis import (
     INFINITE,
+    LocalAlgebra,
+    _axis_orders,
     jet_dimension_oracle,
     quotient_basis,
     staircase_quotient,
@@ -35,6 +36,19 @@ def poly(s, ctx=XY):
 
 def bsing(s, ctx=XY, **kw):
     return BoundarySingularity(poly(s, ctx), **kw)
+
+
+def count_standard_basis(monkeypatch) -> list:
+    """The arguments of every later standard_basis call, as they happen."""
+    calls = []
+    real = sb_module.standard_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sb_module, "standard_basis", counting)
+    return calls
 
 
 class TestJacobianIdeals:
@@ -133,14 +147,7 @@ class TestMilnorNumbers:
         # boundary ideal holds no pure power of x builds none at all, while
         # (y - x^2)^2, with pure powers x^2 and y on the axes, needs its
         # boundary basis to show that (y - x^2) holds the whole ideal
-        calls = []
-        real = boundary_module.staircase_quotient
-
-        def counting(gens):
-            calls.append(gens)
-            return real(gens)
-
-        monkeypatch.setattr(boundary_module, "staircase_quotient", counting)
+        calls = count_standard_basis(monkeypatch)
         for f, bases, inspected in [("x*y^2 + y^3", 0, 1), ("y^2 - 2*x^2*y + x^4", 1, 3)]:
             calls.clear()
             with pytest.raises(NonIsolatedError, match="boundary Milnor number is infinite"):
@@ -265,18 +272,31 @@ class TestCorpusScreen:
         assert len(refused) == 610
 
     def test_axis_certificate_refusals_are_non_isolated(self):
-        # an axis free of pure powers proves mu_{f,H} infinite; checked on
-        # the plane candidates (the 3-variable ones are left out: the
-        # boundary bases of many of them are unbounded work, ROADMAP item 5)
+        # an axis free of pure powers proves mu_{f,H} infinite; checked by a
+        # standard basis on the plane candidates (the 3-variable ones are
+        # left out: the boundary bases of many of them are unbounded work,
+        # ROADMAP item 5)
         refused = [f for f, orders in self._axis_refusals()
                    if orders is None and f.context.arity == 2]
         assert len(refused) == 331
         for f in refused:
-            _, algebra = staircase_quotient(jacobian_ideal_boundary(f))
+            algebra = quotient_basis(standard_basis(jacobian_ideal_boundary(f)))
             assert algebra.dimension == INFINITE, str(f)
             assert BoundarySingularity(f, allow_non_isolated=True).mu_boundary == INFINITE, str(f)
             with pytest.raises(NonIsolatedError):
                 BoundarySingularity(f)
+
+    def test_axis_free_candidates_build_no_basis(self, monkeypatch):
+        # staircase_quotient answers every axis-free candidate, 3-variable
+        # ones included, with the infinite algebra and no standard basis
+        calls = count_standard_basis(monkeypatch)
+        axis_free = [f for f, orders in self._axis_refusals() if orders is None]
+        assert len(axis_free) == 609
+        assert {f.context.arity for f in axis_free} == {2, 3}
+        for f in axis_free:
+            got = staircase_quotient(jacobian_ideal_boundary(f))
+            assert got == (None, LocalAlgebra((), INFINITE)), str(f)
+        assert calls == []
 
     def test_seeded_corpus_is_pinned(self):
         # germs and (mu_f, mu_{f|H}, mu_{f,H}) as the jet-oracle screen chose them

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bsing.standard_basis as sb_module
 from bsing import CertificateError, quasihomog
 from bsing.boundary import BoundarySingularity, NonIsolatedError
-from bsing.corpus import family_normal_form, quasihomogeneous_corpus
+from bsing.corpus import family_normal_form, quasihomogeneous_corpus, random_germ
 from bsing.isochore import Deformation, versality_check
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
 from bsing.quasihomog import (
@@ -85,6 +85,38 @@ class TestEulerCheck:
     def test_detected_weights_always_pass(self):
         for bs, w in quasihomogeneous_corpus(seed=5, count=10):
             assert euler_check(bs.f, w)
+
+    @staticmethod
+    def euler_sum(f, w):
+        """Reference: build sum_i w_i x_i df/dx_i and compare it with f."""
+        acc = Polynomial.zero(f.context)
+        for i in range(f.context.arity):
+            acc = acc + (Polynomial.variable(f.context, i) * f.partial_derivative(i)).scale(w[i])
+        return acc == f
+
+    def test_support_rule_matches_the_euler_sum(self):
+        # detected weights, the same weights perturbed on one axis, and a
+        # germ with a stray term, on seeded quasihomogeneous germs; random
+        # weights on random germs; and the zero polynomial, whose Euler
+        # identity holds at any weights
+        rng = random.Random(11)
+        cases = [(Polynomial.zero(ctx), tuple(F(rng.randint(1, 9), rng.randint(1, 9))
+                                              for _ in range(ctx.arity)))
+                 for ctx in (XY, XYZ)]
+        for bs, w in quasihomogeneous_corpus(seed=13, count=20):
+            i = rng.randrange(len(w))
+            perturbed = tuple(x * F(8, 7) if j == i else x for j, x in enumerate(w))
+            stray = Polynomial.monomial(bs.ctx, tuple(rng.randint(0, 3) for _ in w), 1)
+            cases += [(bs.f, w), (bs.f, perturbed), (bs.f + stray, w)]
+        for _ in range(40):
+            f = random_germ(rng, rng.choice((2, 3)))
+            cases.append((f, tuple(F(1, rng.randint(1, 6)) for _ in range(f.context.arity))))
+        seen = Counter()
+        for f, w in cases:
+            want = self.euler_sum(f, w)
+            assert euler_check(f, w) == want, (str(f), w)
+            seen[want] += 1
+        assert min(seen[True], seen[False]) >= 20, seen
 
 
 class TestSpectrum:
