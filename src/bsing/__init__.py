@@ -34,10 +34,8 @@ from .polyring import (
     VarContext,
     parse_polynomial,
     parse_series,
-    quasihomogeneous_components,
     series_integrate_monomial_weighted,
     series_rational_power,
-    weighted_degree,
 )
 from .quasihomog import (
     BrieskornClass,
@@ -107,7 +105,6 @@ __all__ = [
     "ordinary_spectrum",
     "parse_polynomial",
     "parse_series",
-    "quasihomogeneous_components",
     "quotient_basis",
     "quotient_coordinates",
     "residue_matrix",
@@ -118,5 +115,4 @@ __all__ = [
     "spectrum_splitting_check",
     "verify_ode_residual",
     "versality_check",
-    "weighted_degree",
 ]

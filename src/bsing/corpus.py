@@ -32,22 +32,22 @@ _CONTEXTS = {
 }
 
 
-def random_germ(
-    rng: random.Random, arity: int, max_degree: int = 6, max_terms: int = 6
-) -> Polynomial:
-    """Random nonzero germ with f(0) = 0, small integer coefficients."""
+def random_germ(rng: random.Random, arity: int) -> Polynomial:
+    """Random nonzero germ with f(0) = 0: a sum of 2 to 6 random terms with
+    small integer coefficients and total degrees 1 to 6 (fixed, so seeded
+    corpora stay put)."""
     ctx = _CONTEXTS[arity]
     terms = {}
-    for _ in range(rng.randint(2, max_terms)):
+    for _ in range(rng.randint(2, 6)):
         while True:
-            m = tuple(rng.randint(0, max_degree) for _ in range(arity))
-            if 0 < sum(m) <= max_degree:
+            m = tuple(rng.randint(0, 6) for _ in range(arity))
+            if 0 < sum(m) <= 6:
                 break
         c = rng.choice([-3, -2, -1, 1, 1, 2, 3])
         terms[m] = terms.get(m, 0) + c
     p = Polynomial(ctx, terms)
     if p.is_zero():
-        return random_germ(rng, arity, max_degree, max_terms)
+        return random_germ(rng, arity)
     return p
 
 
@@ -55,9 +55,9 @@ def boundary_corpus(
     seed: int = DEFAULT_SEED,
     count: int = 50,
     max_mu: int = 40,
-    max_degree: int = 6,
 ) -> list[BoundarySingularity]:
-    """``count`` germs in 2 or 3 variables with finite mu_{f,H} <= max_mu.
+    """``count`` germs in 2 or 3 variables with finite mu_{f,H} <= max_mu,
+    drawn by :func:`random_germ` (total degree at most 6).
 
     Candidates are screened first (most random germs are degenerate, and
     building one exactly can take many runs): one standard basis of the
@@ -79,7 +79,7 @@ def boundary_corpus(
     trivial_quota = max(2, count // 10)  # a few mu = 0 germs, not a flood
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
-        f = random_germ(rng, arity, max_degree=max_degree)
+        f = random_germ(rng, arity)
         gens = jacobian_ideal_boundary(f)
         orders = _axis_orders(gens)
         if orders is None or max(orders) >= _SCREEN_CAP:

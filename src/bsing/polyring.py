@@ -84,10 +84,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_weighted_degree(m: Monomial, weights: Sequence[Fraction]) -> Fraction:
-    return sum((w * e for w, e in zip(weights, m)), Fraction(0))
-
-
 def format_monomial(m: Monomial, names: Sequence[str]) -> str:
     parts = []
     for name, e in zip(names, m):
@@ -421,44 +417,6 @@ def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
         else:
             raise ParseError(f"unexpected {val!r}", pos)
     return result
-
-
-# -- weighted structure --------------------------------------------------------
-
-
-def check_weights(weights: Sequence[Rat], arity: int) -> tuple[Fraction, ...]:
-    w = tuple(Fraction(x) for x in weights)
-    if len(w) != arity:
-        raise ValueError("one weight per variable required")
-    if any(x <= 0 for x in w):
-        raise ValueError("weights must be positive")
-    return w
-
-
-def weighted_degree(p: Polynomial, weights: Sequence[Rat]) -> Fraction | None:
-    """Common weighted degree of all terms of ``p``, or None if the terms
-    have mixed weighted degrees.  Raises on the zero polynomial."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no weighted degree")
-    w = check_weights(weights, p.context.arity)
-    degs = {monomial_weighted_degree(m, w) for m in p._terms}
-    if len(degs) == 1:
-        return degs.pop()
-    return None
-
-
-def quasihomogeneous_components(
-    p: Polynomial, weights: Sequence[Rat]
-) -> list[tuple[Fraction, Polynomial]]:
-    """Split ``p`` into weighted-homogeneous parts, sorted by increasing
-    degree.  Concatenating and summing the parts returns ``p`` exactly."""
-    w = check_weights(weights, p.context.arity)
-    buckets: dict[Fraction, dict[Monomial, Fraction]] = {}
-    for m, c in p._terms.items():
-        buckets.setdefault(monomial_weighted_degree(m, w), {})[m] = c
-    return [
-        (d, Polynomial(p.context, terms)) for d, terms in sorted(buckets.items())
-    ]
 
 
 # -- truncated univariate power series ----------------------------------------

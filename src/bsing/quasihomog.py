@@ -45,13 +45,11 @@ from .polyring import (
     Polynomial,
     Rat,
     _signed_sum,
-    check_weights,
     monomial_divides,
     monomial_key,
     monomial_mul,
-    monomial_weighted_degree,
 )
-from .standard_basis import INFINITE, _row_echelon
+from .standard_basis import INFINITE, _context, _row_echelon
 
 
 class NotQuasihomogeneousError(ValueError):
@@ -69,6 +67,15 @@ class CertificateError(ArithmeticError):
 
 
 # -- weights -------------------------------------------------------------------
+
+
+def check_weights(weights: Sequence[Rat], arity: int) -> tuple[Fraction, ...]:
+    w = tuple(Fraction(x) for x in weights)
+    if len(w) != arity:
+        raise ValueError("one weight per variable required")
+    if any(x <= 0 for x in w):
+        raise ValueError("weights must be positive")
+    return w
 
 
 def detect_weights(f: Polynomial) -> tuple[Fraction, ...]:
@@ -109,10 +116,11 @@ def detect_weights(f: Polynomial) -> tuple[Fraction, ...]:
 def euler_check(f: Polynomial, weights: Sequence[Rat]) -> bool:
     """Exact verification of the Euler identity
     sum_i w_i x_i df/dx_i == f.  Its left side scales each term of f by
-    the weighted degree of its monomial, so it holds iff every monomial of
-    f has weighted degree 1."""
+    the weighted degree sum_i w_i m_i of its monomial m, so it holds iff
+    every monomial of f has weighted degree 1.  The weights are checked by
+    :func:`check_weights` first."""
     w = check_weights(weights, f.context.arity)
-    return all(monomial_weighted_degree(m, w) == 1 for m in f._terms)
+    return all(sum(a * e for a, e in zip(w, m)) == 1 for m in f._terms)
 
 
 # -- spectrum and monodromy ------------------------------------------------------
@@ -445,7 +453,7 @@ class _GradedIdeal:
                                    f"unweighted boundary quotient has {self.mu}")
         self._echelons.update(((D, order), ech) for D, ech in built.items())
         entries = sorted(
-            (SpectrumEntry(m, sum((wi * (e + 1) for wi, e in zip(self.w, m)), Fraction(0)))
+            (SpectrumEntry(m, Fraction(self.degree(m) + sum(self.W), self.scale))
              for m in stairs),
             key=lambda e: (e.alpha, monomial_key(e.monomial)),
         )
@@ -515,22 +523,20 @@ class _GradedIdeal:
 
 
 def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedIdeal:
-    """The graded engine of bs at these weights, cached on bs by the checked
-    weights.  Weights failing the Euler identity raise and cache nothing."""
-    w = check_weights(weights, bs.ctx.arity)
-    st = bs._graded_engines.get(w)
+    """The graded engine of bs at these weights, cached on bs by the weights
+    as given.  Only a new key is checked (:func:`check_weights` and the
+    Euler identity); equal numbers hash alike, so ``1``, ``Fraction(1)``
+    and ``1.0`` share an engine.  Weights that fail raise and cache nothing."""
+    key = tuple(weights)
+    st = bs._graded_engines.get(key)
     if st is None:
+        w = check_weights(key, bs.ctx.arity)
         if not euler_check(bs.f, w):
             raise NotQuasihomogeneousError(
                 "requires quasihomogeneous f (Euler identity fails for these weights)"
             )
-        st = bs._graded_engines[w] = _GradedIdeal(bs.boundary_gens, w, bs.mu_boundary)
+        st = bs._graded_engines[key] = _GradedIdeal(bs.boundary_gens, w, bs.mu_boundary)
     return st
-
-
-def _check_context(g: Polynomial, bs: BoundarySingularity) -> None:
-    if g.context != bs.ctx:
-        raise ValueError(f"g is over the context {g.context}, not the germ's {bs.ctx}")
 
 
 def quotient_coordinates(
@@ -538,7 +544,7 @@ def quotient_coordinates(
 ) -> dict[Monomial, Fraction]:
     """Coordinates of g in the staircase basis of Q = O/J_{f,H} (the exact
     residue of g modulo the boundary Jacobian ideal)."""
-    _check_context(g, bs)
+    _context([g, bs.f])
     return _engine(bs, weights).coordinates(g)
 
 
@@ -557,7 +563,7 @@ def brieskorn_reduce(
     t * (div V)/s with s = d + |w| - 1, recursing on the strictly smaller
     degree d - 1.
     """
-    _check_context(g, bs)
+    _context([g, bs.f])
     st = _engine(bs, weights)
     order = st.order(generator_order)
     st.spectrum()
@@ -598,11 +604,14 @@ def gauss_manin_apply(cls: BrieskornClass, spec: Spectrum) -> BrieskornClass:
     """Apply the connection operator coordinatewise:
     D(t^j omega_m) = (j + alpha(m) - 1) t^{j-1} omega_m.
 
-    Input classes must be pole-free; a j = 0 coordinate with alpha != 1
-    produces the explicit first-order pole flag t^-1.
+    Input classes must be pole-free, with slots 0 <= i < len(spec); a
+    j = 0 coordinate with alpha != 1 produces the explicit first-order pole
+    flag t^-1.
     """
     out: dict[int, dict[int, Fraction]] = {}
     for i, powers in cls.coords.items():
+        if not 0 <= i < len(spec):
+            raise ValueError(f"slot {i} is outside the {len(spec)} spectrum slots")
         alpha = spec.entries[i].alpha
         for j, c in powers.items():
             if j < 0:

@@ -304,28 +304,28 @@ def standard_basis(
     inputs = tuple(gens)
     if all(g.is_zero() for g in inputs):
         raise ValueError("standard basis of the zero ideal is not supported here")
-    _context(inputs)
+    ctx = _context(inputs)
+    elems, scales = _inputs(inputs, track_representations)
     if track_representations or degree_cap is not None:
-        return _complete(inputs, track_representations, degree_cap)
+        return _complete(ctx, elems, scales, track_representations, degree_cap)
     limit = 6
-    while (sb := _complete(inputs, False, limit, provisional=True)) is None:
+    while (sb := _complete(ctx, elems, scales, False, limit, provisional=True)) is None:
         limit += limit // 2
     return sb
 
 
 def _complete(
-    inputs: tuple[Polynomial, ...], track_representations: bool, limit: int | None,
+    ctx: VarContext, elems: list[_Elem], scales: list[int], track: bool, limit: int | None,
     provisional: bool = False,
 ) -> StandardBasis | None:
-    """One run of :func:`standard_basis`, truncating below ``limit`` unless
-    it is ``None``.  Until a ``provisional`` limit drops a term the run is
-    exact: a corner at any degree counts, and without one no cap is set.
-    A provisional run that dropped a term and found no corner below its
-    limit returns ``None``; an exact one is final even with its corner at
-    the limit, as a higher limit would repeat it step for step."""
-    ctx = inputs[0].context
-    track = track_representations
-    elems, scales = _inputs(inputs, track)
+    """One run of :func:`standard_basis` on the :func:`_inputs` ``elems``
+    and ``scales``, truncating below ``limit`` unless it is ``None``.  Until
+    a ``provisional`` limit drops a term the run is exact: a corner at any
+    degree counts, and without one no cap is set.  A provisional run that
+    dropped a term and found no corner below its limit returns ``None``; an
+    exact one is final even with its corner at the limit, as a higher limit
+    would repeat it step for step.  A run leaves ``elems`` fit for the next:
+    it only sets ``lam = 1`` on the ones it keeps."""
 
     def as_unit(e: _Elem) -> StandardBasis | None:
         """{1}, a standard basis once an element has a nonzero constant
@@ -651,6 +651,9 @@ def jet_dimension_oracle(
     """
     if max_jet < 1:
         raise ValueError("max_jet must be >= 1")
+    gens = list(gens)
+    if gens:
+        _context(gens)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return INFINITE
@@ -671,6 +674,8 @@ def jet_membership_oracle(
     Valid once the jet dimension has stabilized at N (then m^N is inside
     the ideal): membership is a rank comparison in the degree-< N jet space.
     """
+    gens = list(gens)
+    _context([p, *gens])
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return p.is_zero()

@@ -196,6 +196,13 @@ class TestGaussManin:
         with pytest.raises(ValueError):
             gauss_manin_apply(polar, sp)
 
+    def test_slots_outside_the_spectrum_rejected(self):
+        # a negative slot would index the spectrum from its end
+        bs, w, sp = setup("x^2+y^3")
+        for i in (-1, len(sp)):
+            with pytest.raises(ValueError, match=f"slot {i} is outside"):
+                gauss_manin_apply(BrieskornClass({i: {0: F(1)}}), sp)
+
     def test_b2_connection_matrix(self):
         bs, w, sp = setup("x^2+y^2+z^2", XYZ)
         diag = []

@@ -1,4 +1,5 @@
-"""Coordinate-placement, low-arity and serialization corner cases."""
+"""Coordinate-placement, low-arity and serialization corner cases, and the
+public names of the package."""
 
 import json
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import bsing
 from bsing.boundary import BoundarySingularity, milnor_numbers
 from bsing.isochore import Deformation, versality_check
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
@@ -27,6 +29,29 @@ from bsing.standard_basis import (
 from untruncated import untruncated_basis
 
 F = Fraction
+
+PUBLIC_NAMES = [
+    "BoundarySingularity", "BrieskornClass", "CertificateError", "Deformation",
+    "DegenerateDegreeError", "INFINITE", "InvalidGermError", "LocalAlgebra",
+    "NonIsolatedError", "NotQuasihomogeneousError", "ParseError", "Polynomial",
+    "PowerSeries1", "ResidueMatrix", "RootOfUnity", "SeriesError", "Spectrum",
+    "StandardBasis", "VarContext", "VersalityReport", "brieskorn_reduce",
+    "check_additivity", "detect_weights", "euler_check", "gauss_manin_apply",
+    "isochore_psi", "jacobian_ideal", "jacobian_ideal_boundary",
+    "jet_dimension_oracle", "jet_membership_oracle", "milnor_numbers",
+    "monodromy_eigenvalues", "mora_normal_form", "ordinary_spectrum",
+    "parse_polynomial", "parse_series", "quotient_basis", "quotient_coordinates",
+    "residue_matrix", "restrict_to_boundary", "series_integrate_monomial_weighted",
+    "series_rational_power", "spectrum", "spectrum_splitting_check",
+    "verify_ode_residual", "versality_check",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    # adding or removing an export is an explicit edit of this list
+    assert sorted(bsing.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(bsing, name) is not None, name
 
 
 class TestBoundaryNotFirst:

@@ -11,10 +11,8 @@ from bsing.polyring import (
     VarContext,
     parse_polynomial,
     parse_series,
-    quasihomogeneous_components,
     series_integrate_monomial_weighted,
     series_rational_power,
-    weighted_degree,
 )
 from series_oracle import power_oracle
 
@@ -82,42 +80,6 @@ class TestParsing:
             if p.is_zero():
                 continue
             assert parse_polynomial(str(p), XY) == p
-
-
-class TestWeightedDegree:
-    def test_a2_weights(self):
-        assert weighted_degree(poly("x+y^3"), (1, Fraction(1, 3))) == 1
-
-    def test_constant(self):
-        assert weighted_degree(poly("5"), (1, Fraction(1, 3))) == 0
-
-    def test_mixed_marker(self):
-        assert weighted_degree(poly("x+y"), (1, Fraction(1, 3))) is None
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_degree(Polynomial.zero(XY), (1, 1))
-
-    def test_components_split(self):
-        comps = quasihomogeneous_components(poly("x+y"), (1, Fraction(1, 3)))
-        assert [(d, str(p)) for d, p in comps] == [(Fraction(1, 3), "y"), (Fraction(1), "x")]
-
-    def test_components_single(self):
-        comps = quasihomogeneous_components(poly("x+y^3"), (1, Fraction(1, 3)))
-        assert len(comps) == 1 and comps[0][0] == 1
-
-    def test_components_empty(self):
-        assert quasihomogeneous_components(Polynomial.zero(XY), (1, 1)) == []
-
-    def test_components_partition(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            p = random_poly(rng)
-            w = (Fraction(rng.randint(1, 4)), Fraction(1, rng.randint(1, 5)))
-            total = Polynomial.zero(XY)
-            for _, part in quasihomogeneous_components(p, w):
-                total = total + part
-            assert total == p
 
 
 class TestConstructorContract:

@@ -454,6 +454,55 @@ class TestGradedEngine:
         assert engine._echelons == {}
 
 
+class TestWeightsOnce:
+    def test_a_cache_hit_checks_no_weights(self, monkeypatch):
+        calls = []
+        real = quasihomog.check_weights
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(quasihomog, "check_weights", counting)
+        bs = bsing("x^2+y^3")
+        w = (F(1, 2), F(1, 3))
+        first = spectrum(bs, w)
+        calls.clear()
+        assert spectrum(bs, w) == first
+        assert brieskorn_reduce(poly("x*y"), bs, w) == brieskorn_reduce(poly("x*y"), bs, list(w))
+        assert calls == []
+        assert list(bs._graded_engines) == [w]
+
+    def test_weights_as_given_give_one_spectrum(self):
+        bs = bsing("x^2+y^3")
+        forms = [(F(1, 2), F(1, 3)), [F(1, 2), F(1, 3)], ("1/2", "1/3")]
+        spectra = [spectrum(bs, w) for w in forms]
+        assert spectra[0] == spectra[1] == spectra[2]
+        assert spectra[0].weights == (F(1, 2), F(1, 3))
+        # equal numbers share an engine; strings hash apart and build their own
+        assert len(bs._graded_engines) == 2
+
+
+class TestParts:
+    def test_parts_partition_by_increasing_weighted_degree(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                m = (rng.randint(0, 4), rng.randint(0, 4))
+                terms[m] = F(rng.randint(1, 6), rng.randint(1, 4))
+            w = (F(rng.randint(1, 4)), F(1, rng.randint(1, 5)))
+            st = quasihomog._GradedIdeal([poly("x"), poly("y")], w)
+            parts = st.parts(terms)
+            degrees = [D for D, _ in parts]
+            assert degrees == sorted(set(degrees))
+            for D, part in parts:
+                for m in part:
+                    assert F(D, st.scale) == sum(a * e for a, e in zip(w, m))
+            assert {m: c for _, part in parts for m, c in part.items()} == terms
+            assert sum(len(part) for _, part in parts) == len(terms)
+
+
 class TestDecompositionCertificates:
     def test_a_corrupted_echelon_row_breaks_the_recomposition(self):
         # a wrong cofactor entry in the cached pivot row of x^2 makes

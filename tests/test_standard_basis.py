@@ -346,9 +346,9 @@ class TestStaircaseQuotient:
         limits = []
         real = sb_module._complete
 
-        def recording(inputs, track, limit, provisional=False):
+        def recording(ctx, elems, scales, track, limit, provisional=False):
             limits.append(limit)
-            return real(inputs, track, limit, provisional)
+            return real(ctx, elems, scales, track, limit, provisional)
 
         monkeypatch.setattr(sb_module, "_complete", recording)
         cases = [
@@ -371,7 +371,30 @@ class TestStaircaseQuotient:
         # the run at 9 that used to repeat the exact run of x^4 + y^4 at 6
         # makes the same basis
         gens = jacobian_ideal_boundary(poly("x^4 + y^4"))
-        assert standard_basis(gens) == real(tuple(gens), False, 9, True)
+        assert standard_basis(gens) == real(XY, *sb_module._inputs(gens), False, 9, True)
+
+    def test_generators_are_converted_once_per_call(self, monkeypatch):
+        # the four runs of the rising truncation degree share one conversion
+        # of the generators to kernel elements
+        runs, conversions = [], []
+        real_complete, real_inputs = sb_module._complete, sb_module._inputs
+
+        def counting_complete(*args, **kwargs):
+            runs.append(1)
+            return real_complete(*args, **kwargs)
+
+        def counting_inputs(*args, **kwargs):
+            conversions.append(1)
+            return real_inputs(*args, **kwargs)
+
+        monkeypatch.setattr(sb_module, "_complete", counting_complete)
+        monkeypatch.setattr(sb_module, "_inputs", counting_inputs)
+        gens = jacobian_ideal_boundary(poly("x^4*y^4 + x^9 + y^9"))
+        sb = standard_basis(gens)
+        assert (len(runs), len(conversions)) == (4, 1)
+        # the elements the three earlier runs used give the basis of fresh ones
+        assert sb == real_complete(XY, *real_inputs(gens), False, 19, True)
+        assert sb.degree_cap == 15 and quotient_basis(sb).dimension == 63
 
     def test_runs_to_build_the_normal_forms(self, monkeypatch):
         # a deterministic counter: completion runs behind the 60 bases of the
@@ -481,6 +504,20 @@ class TestMixedContexts:
         assert sb.contains(poly("x^2"))
         with pytest.raises(ValueError, match="different contexts"):
             sb.contains(poly("x^2", YX))
+
+    def test_jet_dimension_oracle(self):
+        # read over one context, x^2 and x^3 over (y, x) = y^3 would give 6
+        with pytest.raises(ValueError, match="different contexts"):
+            jet_dimension_oracle([poly("x^2"), poly("x^3", YX)])
+        with pytest.raises(ValueError, match="different contexts"):
+            jet_dimension_oracle(iter([poly("x^2"), poly("y^3", XYZ)]))
+
+    def test_jet_membership_oracle(self):
+        # read over (x, y), x^2 over (y, x) would be y^2, not in (x^2, y^3)
+        gens = [poly("x^2"), poly("y^3")]
+        assert jet_membership_oracle(poly("x^2"), iter(gens))
+        with pytest.raises(ValueError, match="different contexts"):
+            jet_membership_oracle(poly("x^2", YX), gens)
 
 
 class TestJetOracle:

@@ -1,6 +1,6 @@
 """Untruncated reference standard bases shared by the test modules."""
 
-from bsing.standard_basis import _complete
+from bsing.standard_basis import _complete, _context, _inputs
 
 
 def untruncated_basis(gens):
@@ -8,4 +8,5 @@ def untruncated_basis(gens):
 
     A single run of the completion without a truncation degree goes to the
     end uncapped: the reference the capped path is checked against."""
-    return _complete(tuple(gens), False, None)
+    gens = tuple(gens)
+    return _complete(_context(gens), *_inputs(gens), False, None)
