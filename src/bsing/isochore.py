@@ -37,7 +37,7 @@ from .polyring import (
     series_rational_power,
 )
 from .quasihomog import _engine, detect_weights
-from .standard_basis import _row_echelon
+from .standard_basis import _cleared, _echelon
 
 
 def isochore_psi(c: PowerSeries1, n: int) -> tuple[PowerSeries1, PowerSeries1]:
@@ -152,10 +152,10 @@ def versality_check(
     coords = [st.coordinates(g) for g in candidates]
     columns = sorted((e.monomial for e in st.spectrum().entries), key=monomial_key)
     col_index = {m: i for i, m in enumerate(columns)}
-    rows = [{col_index[m]: c for m, c in cs.items()} for cs in coords if cs]
+    rows = [_cleared({col_index[m]: c for m, c in cs.items()})[0] for cs in coords if cs]
 
     # pivot columns are the covered directions
-    pivots = _row_echelon(rows)
+    pivots = _echelon(rows)
     spanned = len(pivots)
     missing = tuple(m for m in columns if col_index[m] not in pivots)
     return VersalityReport(

@@ -49,7 +49,7 @@ from .polyring import (
     monomial_key,
     monomial_mul,
 )
-from .standard_basis import INFINITE, _context, _row_echelon
+from .standard_basis import INFINITE, _cleared, _context, _echelon, _eliminate
 
 
 class NotQuasihomogeneousError(ValueError):
@@ -91,9 +91,8 @@ def detect_weights(f: Polynomial) -> tuple[Fraction, ...]:
         raise NotQuasihomogeneousError("germ must vanish at the origin")
     arity = f.context.arity
     # augmented rows (m | 1); column ``arity`` holds the right-hand side
-    rows = [{i: Fraction(e) for i, e in enumerate(m) if e} | {arity: Fraction(1)}
-            for m in f.support()]
-    pivots = _row_echelon(rows)
+    rows = [{i: e for i, e in enumerate(m) if e} | {arity: 1} for m in f.support()]
+    pivots = _echelon(rows)
     if arity in pivots:
         raise NotQuasihomogeneousError(
             "not quasihomogeneous in these coordinates (no weight solution)"
@@ -104,8 +103,9 @@ def detect_weights(f: Polynomial) -> tuple[Fraction, ...]:
         )
     w = [Fraction(0)] * arity
     for col in reversed(range(arity)):  # pivot rows have no entry left of their pivot
-        rest = sum(v * w[c] for c, v in pivots[col].items() if col < c < arity)
-        w[col] = pivots[col].get(arity, 0) - rest
+        lc, tail = pivots[col]
+        rest = sum(v * w[c] for c, v in tail.items() if c < arity)
+        w[col] = Fraction(tail.get(arity, 0) - rest, lc)
     if any(x <= 0 for x in w):
         raise NotQuasihomogeneousError(
             f"weight solution {tuple(map(str, w))} is not positive"
@@ -119,7 +119,11 @@ def euler_check(f: Polynomial, weights: Sequence[Rat]) -> bool:
     the weighted degree sum_i w_i m_i of its monomial m, so it holds iff
     every monomial of f has weighted degree 1.  The weights are checked by
     :func:`check_weights` first."""
-    w = check_weights(weights, f.context.arity)
+    return _euler(f, check_weights(weights, f.context.arity))
+
+
+def _euler(f: Polynomial, w: tuple[Fraction, ...]) -> bool:
+    """:func:`euler_check` at weights already checked."""
     return all(sum(a * e for a, e in zip(w, m)) == 1 for m in f._terms)
 
 
@@ -209,7 +213,7 @@ def ordinary_spectrum(g: Polynomial, weights: Sequence[Rat]) -> Spectrum:
     if g.context.arity < 1:
         raise ValueError("ordinary spectrum needs at least one variable")
     w = check_weights(weights, g.context.arity)
-    if not euler_check(g, w):
+    if not _euler(g, w):
         raise NotQuasihomogeneousError(
             "requires quasihomogeneous germ (Euler identity fails)"
         )
@@ -224,23 +228,23 @@ def spectrum_splitting_check(
     The +1 shift is where the restriction's classes land after wedging
     with df: a class of weighted degree e on the boundary maps to one of
     degree e + (1 - w_x), whose boundary alpha is e + |w'| + 1 with w' the
-    boundary weights.  The two ordinary spectra are built once and kept on
-    the germ's graded engine.
+    boundary weights.  The two ordinary spectra and the verdict are
+    computed once and kept on the germ's graded engine.
     """
     st = _engine(bs, weights)
-    rel = Counter(st.spectrum().alphas())
-    if st.ordinary is None:
+    rel = st.spectrum()
+    if st.split is None:
         w, b = st.w, bs.ctx.boundary_index
         w_rest = w[:b] + w[b + 1 :]
         if bs.restriction.is_zero() or not w_rest:
             raise NotQuasihomogeneousError(
                 "splitting needs a boundary restriction in >= 1 variable"
             )
-        st.ordinary = (ordinary_spectrum(bs.f, w), ordinary_spectrum(bs.restriction, w_rest))
-    ambient, restricted = st.ordinary
-    amb = Counter(ambient.alphas())
-    res = Counter(a + 1 for a in restricted.alphas())
-    return rel == amb + res
+        st.ordinary = ambient, restricted = (
+            ordinary_spectrum(bs.f, w), ordinary_spectrum(bs.restriction, w_rest))
+        st.split = Counter(rel.alphas()) == (
+            Counter(ambient.alphas()) + Counter(a + 1 for a in restricted.alphas()))
+    return st.split
 
 
 def monodromy_eigenvalues(spec: Spectrum) -> list[RootOfUnity]:
@@ -341,11 +345,12 @@ def _monomials(W: tuple[int, ...], D: int) -> tuple[Monomial, ...]:
 
 # The echelon of J in one degree D: (columns, index, pivot columns, pivots,
 # tags).  The columns are the monomials of degree D, leading first, and
-# index maps them back; row t is tags[t] = (j, q), the multiple q*gens[j],
-# with a unit entry in column len(columns) + t.  The pivot columns are the
-# monomial ones, ascending.
+# index maps them back; row t is tags[t] = (j, q), the multiple q*G_j of an
+# integer generator, with a unit entry in column len(columns) + t.  The
+# pivot columns are the monomial ones, ascending, and a pivot is a
+# primitive integer row (lc, tail) of :func:`standard_basis._echelon`.
 _Echelon = tuple[tuple[Monomial, ...], dict[Monomial, int], list[int],
-                 dict[int, dict[int, Fraction]], list[tuple[int, Monomial]]]
+                 dict[int, tuple[int, dict[int, int]]], list[tuple[int, Monomial]]]
 
 
 class _GradedIdeal:
@@ -353,13 +358,15 @@ class _GradedIdeal:
     degree (Macaulay matrices); the graded engine of a germ is the one of
     J_{f,H}, cached on it by :func:`_engine`.
 
-    With w scaled to integers W, degree D of J is spanned by the rows q*g_j,
-    deg q = D - deg g_j.  Their echelon, columns by reversed exponents and
-    rows in a generator order, has the staircase in degree D as its
-    non-pivot columns; each row carries a unit tag column, so reducing by
-    the pivots gives remainder and cofactors at once.  A row q*g_j is
-    skipped when the leading monomial of an earlier generator divides q
-    (a Koszul syzygy spans it).  Echelons are cached per (degree, order).
+    The engine computes in integers.  With w scaled to integers W, and each
+    g_j made integral once as G_j = s_j*g_j, degree D of J is spanned by the
+    rows q*G_j, deg q = D - deg g_j.  Their fraction-free echelon, columns
+    by reversed exponents and rows in a generator order, has the staircase
+    in degree D as its non-pivot columns; each row carries a unit tag
+    column, so reducing by the pivots gives remainder and cofactors at
+    once.  A row q*G_j is skipped when the leading monomial of an earlier
+    generator divides q (a Koszul syzygy spans it).  Echelons are cached
+    per (degree, order).
 
     The staircase is certified by the Poincare series: n generators in n
     variables have a finite quotient iff they are a regular sequence, with
@@ -369,7 +376,8 @@ class _GradedIdeal:
     be empty, which puts every monomial above top in J; with ``mu`` given
     the total must be mu.  A failure raises :class:`CertificateError`, or
     :class:`NonIsolatedError` without ``mu``, and caches nothing.
-    ``ordinary`` keeps the splitting law's ordinary spectra of the germ.
+    ``ordinary`` keeps the splitting law's ordinary spectra of the germ,
+    and ``split`` its verdict.
     """
 
     def __init__(self, gens: Sequence[Polynomial], w: tuple[Fraction, ...],
@@ -378,12 +386,15 @@ class _GradedIdeal:
         self.ctx = self.gens[0].context
         self.scale = math.lcm(*(x.denominator for x in w))
         self.W = tuple(int(x * self.scale) for x in w)
+        cleared = [_cleared(g._terms) for g in self.gens]
+        self.ints = [t for t, _ in cleared]  # G_j
+        self.scales = [s for _, s in cleared]  # s_j
         # gens are homogeneous: a stray term of another degree has no column
-        self.degrees = [None if g.is_zero() else self.degree(next(iter(g.terms)))
-                        for g in self.gens]
+        self.degrees = [None if not G else self.degree(next(iter(G))) for G in self.ints]
         self.top: int | None = None
         self.slot: dict[Monomial, int] = {}
         self.ordinary: tuple[Spectrum, Spectrum] | None = None
+        self.split: bool | None = None
         self._spectrum: Spectrum | None = None
         self._echelons: dict[tuple[int, tuple[int, ...]], _Echelon] = {}
 
@@ -405,15 +416,15 @@ class _GradedIdeal:
         for j in order:
             if self.degrees[j] is None:
                 continue
-            terms = self.gens[j].terms
+            terms = self.ints[j]
             for q in _monomials(self.W, D - self.degrees[j]):
                 if not any(monomial_divides(lm, q) for lm in leads):
                     row = {index[monomial_mul(q, m)]: c for m, c in terms.items()}
-                    row[n + len(tags)] = Fraction(1)
+                    row[n + len(tags)] = 1
                     rows.append(row)
                     tags.append((j, q))
             leads.append(min(terms, key=lambda m: m[::-1]))
-        pivots = _row_echelon(rows)
+        pivots = _echelon(rows)
         return columns, index, sorted(c for c in pivots if c < n), pivots, tags
 
     def echelon(self, D: int, order: tuple[int, ...]) -> _Echelon:
@@ -462,63 +473,64 @@ class _GradedIdeal:
         self.top = top
         return self._spectrum
 
-    def parts(
-        self, terms: dict[Monomial, Fraction]
-    ) -> list[tuple[int, dict[Monomial, Fraction]]]:
+    def parts(self, terms: dict[Monomial, int]) -> list[tuple[int, dict[Monomial, int]]]:
         """``terms`` split into weighted-homogeneous parts (D, part), by
         increasing W-degree D: the order of the weighted degrees D/scale."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, int]] = {}
         for m, c in terms.items():
             buckets.setdefault(self.degree(m), {})[m] = c
         return sorted(buckets.items())
 
     def decompose(
-        self, terms: dict[Monomial, Fraction], D: int, order: tuple[int, ...]
-    ) -> tuple[dict[Monomial, Fraction], list[dict[Monomial, Fraction]]]:
-        """terms == rem + sum_j cof[j]*gens[j] for the nonzero terms of one
-        W-degree D, rem on the staircase in column order and cof[j] of
-        W-degree D - deg g_j; the sum is recomposed and checked exactly.
-        Needs the certified staircase: call :meth:`spectrum` first."""
+        self, terms: dict[Monomial, int], D: int, order: tuple[int, ...]
+    ) -> tuple[dict[Monomial, int], list[dict[Monomial, int]], int]:
+        """(rem, cof, den) with den*terms == rem + sum_j cof[j]*G_j, den > 0,
+        for the nonzero integer terms of one W-degree D: rem on the staircase
+        in column order and cof[j] of W-degree D - deg g_j.  den gathers the
+        factors of the steps (:func:`standard_basis._eliminate`).  The sum is
+        recomposed and checked in integers.  Needs the certified staircase:
+        call :meth:`spectrum` first."""
         columns, index, pivot_columns, pivots, tags = self.echelon(D, order)
         n = len(columns)
         row = {index[m]: c for m, c in terms.items()}
+        den = 1
         for p in pivot_columns:
-            v = row.get(p)
-            if v is not None:
-                for col, pv in pivots[p].items():
-                    nv = row.get(col, 0) - v * pv
-                    if nv:
-                        row[col] = nv
-                    else:
-                        del row[col]
+            v = row.pop(p, None)
+            if v is None:
+                continue
+            row, a = _eliminate(row, v, pivots[p])
+            den *= a
         rem = {columns[k]: row[k] for k in sorted(k for k in row if k < n)}
         if any(m not in self.slot for m in rem):
             raise CertificateError("non-staircase monomial escaped division")
-        cof: list[dict[Monomial, Fraction]] = [{} for _ in self.gens]
+        cof: list[dict[Monomial, int]] = [{} for _ in self.gens]
         for k, v in row.items():
             if k >= n:
                 j, q = tags[k - n]
                 cof[j][q] = -v
         back = dict(rem)
-        for c, g in zip(cof, self.gens):
+        for c, G in zip(cof, self.ints):
             for q, a in c.items():
-                for m, b in g._terms.items():
+                for m, b in G.items():
                     qm = monomial_mul(q, m)
                     back[qm] = back.get(qm, 0) + a * b
-        if {m: v for m, v in back.items() if v} != terms:
+        want = terms if den == 1 else {m: den * c for m, c in terms.items()}
+        if {m: v for m, v in back.items() if v} != want:
             raise CertificateError("graded decomposition lost exactness")
-        return rem, cof
+        return rem, cof, den
 
     def coordinates(self, g: Polynomial) -> dict[Monomial, Fraction]:
         """Staircase coordinates of g: its exact residue modulo J.  Parts
         above the top degree lie in J and are skipped."""
         self.spectrum()
         order = self.order()
+        ints, den = _cleared(g._terms)
         out: dict[Monomial, Fraction] = {}
-        for D, part in self.parts(g.terms):
+        for D, part in self.parts(ints):
             if D > self.top:
                 break
-            out.update(self.decompose(part, D, order)[0])
+            rem, _, a = self.decompose(part, D, order)
+            out.update((m, Fraction(c, den * a)) for m, c in rem.items())
         return out
 
 
@@ -531,7 +543,7 @@ def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedIdeal:
     st = bs._graded_engines.get(key)
     if st is None:
         w = check_weights(key, bs.ctx.arity)
-        if not euler_check(bs.f, w):
+        if not _euler(bs.f, w):
             raise NotQuasihomogeneousError(
                 "requires quasihomogeneous f (Euler identity fails for these weights)"
             )
@@ -570,33 +582,37 @@ def brieskorn_reduce(
     b = st.ctx.boundary_index
     ys = [i for i in range(st.ctx.arity) if i != b]
     offset = sum(st.W) - st.scale  # s = (D + offset) / scale
+    # the cofactor of g_j is s_j*cof[j]/den, and 1/s = scale/(D + offset)
+    mult = [s * st.scale for s in st.scales]
 
     coords: dict[int, dict[int, Fraction]] = {}
-    queue: list[tuple[int, dict[Monomial, Fraction]]] = [(0, g.terms)]
+    # (power of t, integer terms, denominator): t^power * terms/den is left
+    queue: list[tuple[int, dict[Monomial, int], int]] = [(0, *_cleared(g._terms))]
     while queue:
-        tpow, h = queue.pop()
+        tpow, h, den = queue.pop()
         for D, part in st.parts(h):
-            rem, cof = st.decompose(part, D, order)
+            rem, cof, a = st.decompose(part, D, order)
+            den_part = den * a
             for m, c in rem.items():
                 slot = coords.setdefault(st.slot[m], {})
-                slot[tpow] = slot.get(tpow, Fraction(0)) + c
-            if rem == part:
+                slot[tpow] = slot.get(tpow, 0) + Fraction(c, den_part)
+            if not any(cof):
                 continue
             if D + offset == 0:
                 raise DegenerateDegreeError(
                     f"rewrite degree s = 0 at weighted degree {Fraction(D, st.scale)}"
                 )
-            inv_s = Fraction(st.scale, D + offset)
-            # div V = d/dx(x*a_0) + sum_i d/dy_i(a_i), times 1/s
-            div = {q: (q[b] + 1) * c * inv_s for q, c in cof[0].items()}
-            for i, a in zip(ys, cof[1:]):
-                for q, c in a.items():
+            # div V = d/dx(x*a_0) + sum_i d/dy_i(a_i), times 1/s, over
+            # the denominator den_part * (D + offset)
+            div = {q: (q[b] + 1) * c * mult[0] for q, c in cof[0].items()}
+            for i, c_i, k in zip(ys, cof[1:], mult[1:]):
+                for q, c in c_i.items():
                     if q[i]:
                         m = q[:i] + (q[i] - 1,) + q[i + 1 :]
-                        div[m] = div.get(m, 0) + q[i] * c * inv_s
+                        div[m] = div.get(m, 0) + q[i] * c * k
             div = {m: c for m, c in div.items() if c}
             if div:
-                queue.append((tpow + 1, div))
+                queue.append((tpow + 1, div, den_part * (D + offset)))
     return BrieskornClass(coords)
 
 

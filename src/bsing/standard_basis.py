@@ -562,56 +562,86 @@ def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     return sb._algebra
 
 
-# -- brute-force jet-space oracle ----------------------------------------------
+# -- the fraction-free row echelon ---------------------------------------------
 
 
-def _row_echelon(
-    rows: list[dict[int, Fraction]],
-    pivots: dict[int, dict[int, Fraction]] | None = None,
-) -> dict[int, dict[int, Fraction]]:
-    """Exact incremental row echelon over Q of sparse rows.
+def _cleared(terms: dict) -> tuple[dict, int]:
+    """Rational ``terms`` over the integers: (ints, s), terms == ints/s, with
+    s > 0 the least common denominator."""
+    s = math.lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (s // c.denominator) for k, c in terms.items()}, s
 
-    Each row is reduced by the pivot rows (normalized to leading entry 1)
-    and, unless it vanishes, becomes the pivot of its smallest column.
-    ``pivots`` (a fresh dict by default) is extended in place and returned;
-    the rank is its length and its keys are the pivot columns."""
+
+def _echelon(
+    rows: Sequence[dict[int, int]],
+    pivots: dict[int, tuple[int, dict[int, int]]] | None = None,
+) -> dict[int, tuple[int, dict[int, int]]]:
+    """Fraction-free incremental row echelon of sparse integer rows.
+
+    A pivot is (lc, tail), a primitive integer row split like an
+    :class:`_Elem` record: its leading coefficient lc > 0, in the pivot
+    column, and its other entries.  Each row, consumed, is reduced at its
+    leading entry by the pivot of that column (:func:`_eliminate`) until
+    its leading column has none; unless it vanishes, it is made primitive
+    and becomes that column's pivot.  ``pivots`` (a fresh dict by default) is extended in place and
+    returned: the rank is its length and its keys are the pivot columns.
+    A pivot row is a multiple of the normalized row of elimination over Q,
+    so the pivot columns are the same."""
     if pivots is None:
         pivots = {}
     for row in rows:
-        row = dict(row)
         while row:
             lead = min(row)
-            if lead in pivots:
-                piv = pivots[lead]
-                factor = row[lead]
-                for col, val in piv.items():
-                    nv = row.get(col, Fraction(0)) - factor * val
-                    if nv == 0:
-                        row.pop(col, None)
-                    else:
-                        row[col] = nv
-            else:
-                inv = 1 / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
+            v = row.pop(lead)
+            if lead not in pivots:
+                c = math.gcd(v, *row.values())
+                if v < 0:
+                    c = -c
+                pivots[lead] = (v // c, {k: x // c for k, x in row.items()} if c != 1 else row)
                 break
+            row = _eliminate(row, v, pivots[lead])[0]
     return pivots
+
+
+def _eliminate(
+    row: dict[int, int], v: int, pivot: tuple[int, dict[int, int]]
+) -> tuple[dict[int, int], int]:
+    """One fraction-free step: ``row``, whose entry v in the pivot's column
+    was taken out, becomes (lc/d)*row - (v/d)*tail, d = gcd(v, lc), in
+    place when lc/d is 1; returned with the factor lc/d."""
+    lc, tail = pivot
+    d = math.gcd(v, lc)
+    a = lc // d
+    if a != 1:
+        row = {k: a * x for k, x in row.items()}
+    b = v // d
+    for col, x in tail.items():
+        nv = row.get(col, 0) - b * x
+        if nv:
+            row[col] = nv
+        else:
+            del row[col]
+    return row, a
+
+
+# -- brute-force jet-space oracle ----------------------------------------------
 
 
 def _jet_rows(
     gens: Sequence[Polynomial], monos: list[Monomial], N: int
-) -> list[dict[int, Fraction]]:
-    """Rows spanning {g * m truncated below degree N} in the monomial basis."""
+) -> list[dict[int, int]]:
+    """Integer rows spanning {g * m truncated below degree N} in the
+    monomial basis."""
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for g in gens:
+        ints = _cleared(g._terms)[0]
         for m in monos:
-            row: dict[int, Fraction] = {}
-            for gm, c in g._terms.items():
+            row: dict[int, int] = {}
+            for gm, c in ints.items():
                 prod = monomial_mul(gm, m)
                 if sum(prod) < N:
-                    col = index[prod]
-                    row[col] = row.get(col, Fraction(0)) + c
-            row = {k: v for k, v in row.items() if v != 0}
+                    row[index[prod]] = c
             if row:
                 rows.append(row)
     return rows
@@ -619,7 +649,7 @@ def _jet_rows(
 
 def _stable_jet(
     gens: Sequence[Polynomial], max_jet: int
-) -> tuple[int, list[Monomial], dict[int, dict[int, Fraction]]] | None:
+) -> tuple[int, list[Monomial], dict[int, tuple[int, dict[int, int]]]] | None:
     """For N = 2, 3, ..., max_jet: the echelon of all generator multiples
     truncated below total degree N, inside the space of monomials of
     degree < N.  Returns ``(N, monomials, pivots)`` at the first N whose
@@ -630,7 +660,7 @@ def _stable_jet(
     prev = None
     for N in range(2, max_jet + 1):
         monos = sorted((m for d in range(N) for m in _of_degree(arity, d)), key=monomial_key)
-        pivots = _row_echelon(_jet_rows(gens, monos, N))
+        pivots = _echelon(_jet_rows(gens, monos, N))
         codim = len(monos) - len(pivots)
         if codim == prev:
             return N, monos, pivots
@@ -684,5 +714,5 @@ def jet_membership_oracle(
         raise ValueError("jet oracle did not stabilize; raise max_jet")
     N, monos, pivots = stable
     index = {m: i for i, m in enumerate(monos)}
-    p_row = {index[m]: c for m, c in p._terms.items() if sum(m) < N and c != 0}
-    return len(_row_echelon([p_row], dict(pivots))) == len(pivots)
+    p_row = _cleared({index[m]: c for m, c in p._terms.items() if sum(m) < N})[0]
+    return len(_echelon([p_row], dict(pivots))) == len(pivots)

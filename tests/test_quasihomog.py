@@ -28,6 +28,7 @@ from bsing.quasihomog import (
     spectrum,
     spectrum_splitting_check,
 )
+from graded_oracle import GradedOracle
 
 XY = VarContext(("x", "y"), 0)
 XYZ = VarContext(("x", "y", "z"), 0)
@@ -193,6 +194,24 @@ class TestOrdinarySpectrum:
         with pytest.raises(NonIsolatedError, match="1 monomials in degree 0"):
             ordinary_spectrum(Polynomial.zero(XY), (F(1, 3), F(1, 2)))
 
+    def test_weights_are_checked_once_per_call(self, monkeypatch):
+        calls = []
+        real = quasihomog.check_weights
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(quasihomog, "check_weights", counting)
+        ordinary_spectrum(poly("x^2+y^3"), (F(1, 2), F(1, 3)))
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="one weight per variable"):
+            ordinary_spectrum(poly("x^2+y^3"), (F(1, 2),))
+        with pytest.raises(ValueError, match="weights must be positive"):
+            ordinary_spectrum(poly("x^2+y^3"), (F(1, 2), F(-1, 3)))
+        with pytest.raises(NotQuasihomogeneousError, match="Euler identity fails"):
+            ordinary_spectrum(poly("x^2+y^3"), (F(1, 2), F(1, 2)))
+
 
 class TestSplitting:
     def test_a3_by_hand(self):
@@ -220,6 +239,18 @@ class TestSplitting:
     def test_corpus(self):
         for bs, w in quasihomogeneous_corpus(seed=33, count=15):
             assert spectrum_splitting_check(bs, w), str(bs.f)
+
+    def test_the_verdict_is_kept_on_the_engine(self, monkeypatch):
+        bs = bsing("x^2+y^3")
+        w = detect_weights(bs.f)
+        assert spectrum_splitting_check(bs, w)
+
+        def refuse(*args):
+            raise AssertionError("a multiset was rebuilt")
+
+        monkeypatch.setattr(quasihomog, "Counter", refuse)
+        assert spectrum_splitting_check(bs, w)
+        assert bs._graded_engines[w].split is True
 
 
 class TestMonodromy:
@@ -442,7 +473,7 @@ class TestGradedEngine:
         def losing(self, D, order):
             columns, index, pivot_columns, pivots, tags = real(self, D, order)
             if D == 0:
-                pivot_columns, pivots = [0], {0: {0: F(1)}}
+                pivot_columns, pivots = [0], {0: (1, {})}
             return columns, index, pivot_columns, pivots, tags
 
         monkeypatch.setattr(quasihomog._GradedIdeal, "_build", losing)
@@ -512,9 +543,9 @@ class TestDecompositionCertificates:
         spectrum(bs, w)
         st = bs._graded_engines[w]
         columns, index, _, pivots, _ = st.echelon(st.degree((2, 0)), st.order())
-        row = pivots[index[(2, 0)]]
-        tag = next(k for k in row if k >= len(columns))
-        row[tag] += 1
+        _, tail = pivots[index[(2, 0)]]
+        tag = next(k for k in tail if k >= len(columns))
+        tail[tag] += 1
         with pytest.raises(CertificateError, match="lost exactness"):
             brieskorn_reduce(poly("x^2"), bs, w)
 
@@ -538,6 +569,78 @@ class TestDecompositionCertificates:
         for call in (quotient_coordinates, brieskorn_reduce):
             with pytest.raises(ValueError, match="context"):
                 call(foreign, bs, w)
+
+
+def rational_terms(rng, arity, count, top=4):
+    """Up to ``count`` random monomials with rational coefficients."""
+    return {tuple(rng.randint(0, top) for _ in range(arity)):
+            F(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 9]))
+            for _ in range(count)}
+
+
+def rational_germs():
+    """Quasihomogeneous germs with non-integer coefficients, at weights
+    whose denominators have lcm > 1: hand-picked, and the seeded corpus
+    with each coefficient scaled by a random rational."""
+    rng = random.Random(21)
+    out = []
+    for f, ctx in [("3/2*x^2 + 5/7*y^3", XY), ("x^2 + y^4 + 2/3*x*y^2", XY),
+                   ("1/2*x*y + 4/9*y^5", XY), ("x^2 - 1/3*y^3 + 7/5*z^2", XYZ),
+                   ("2/3*x^3 + y^3 + 1/2*x*y*z + z^3", XYZ)]:
+        out.append(bsing(f, ctx))
+    for bs, _ in quasihomogeneous_corpus(seed=4, count=12):
+        terms = {m: c * F(rng.choice([1, 2, 5, 7]), rng.choice([2, 3, 6]))
+                 for m, c in bs.f.terms.items()}
+        try:
+            out.append(BoundarySingularity(Polynomial(bs.ctx, terms)))
+        except NonIsolatedError:
+            pass
+    return out
+
+
+class TestGradedOracle:
+    """The integer engine against its Fraction elimination in
+    ``tests/graded_oracle.py``, value for value and in the same order."""
+
+    def test_the_germs_have_rational_data(self):
+        germs = rational_germs()
+        assert len(germs) >= 15
+        assert sum(any(c.denominator > 1 for c in bs.f.terms.values()) for bs in germs) >= 15
+        assert all(quasihomog._engine(bs, detect_weights(bs.f)).scale > 1 for bs in germs)
+
+    def test_reductions_match_the_fraction_oracle(self):
+        rng = random.Random(3)
+        for bs in rational_germs():
+            w = detect_weights(bs.f)
+            n = bs.ctx.arity
+            oracle = GradedOracle(quasihomog._engine(bs, w))
+            g = Polynomial(bs.ctx, rational_terms(rng, n, 5))
+            coords = quotient_coordinates(g, bs, w)
+            assert list(coords.items()) == list(oracle.coordinates(g).items())
+            h = g * bs.f + g
+            for order in permutations(range(n)):
+                got = brieskorn_reduce(h, bs, w, generator_order=order)
+                assert repr(got) == repr(oracle.brieskorn_reduce(h, order))
+
+    def test_decompositions_match_the_fraction_oracle(self):
+        # den*part == rem + sum_j cof[j]*G_j with G_j = s_j*g_j
+        rng = random.Random(5)
+        for bs in rational_germs():
+            st = quasihomog._engine(bs, detect_weights(bs.f))
+            oracle = GradedOracle(st)
+            order = st.order()
+            for D in range(st.top + 1):
+                stairs = [m for m in quasihomog._monomials(st.W, D) if m in st.slot]
+                assert stairs == oracle.staircase(D, order)
+            g = Polynomial(bs.ctx, rational_terms(rng, bs.ctx.arity, 8, top=6))
+            for D, part in st.parts(g.terms):
+                ints, s = sb_module._cleared(part)
+                rem, cof, den = st.decompose(ints, D, order)
+                want_rem, want_cof = oracle.decompose(part, D, order)
+                assert den > 0
+                assert {m: F(c, den * s) for m, c in rem.items()} == want_rem
+                assert [{q: F(c * s_j, den * s) for q, c in cj.items()}
+                        for cj, s_j in zip(cof, st.scales)] == want_cof
 
 
 BP_EXPONENTS = {
