@@ -72,8 +72,11 @@ def _context(args, params: tuple[str, ...] = ()) -> VarContext:
     return VarContext(names + params, names.index(args.boundary))
 
 
-def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
+def _emit(args, output) -> None:
+    """Write a command's output to --out or stdout: under --json a payload,
+    encoded as JSON schema 1 (sorted keys, indent 2), otherwise text."""
+    text = json.dumps(output, indent=2, sort_keys=True) + "\n" if args.json else output
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -85,10 +88,7 @@ def cmd_milnor(args) -> int:
     f = parse_polynomial(args.f, ctx)
     bs = BoundarySingularity(f, allow_non_isolated=True)
     report = build_report(args.f, bs)
-    if args.json:
-        _emit(report.to_json() + "\n", args)
-    else:
-        _emit(render_milnor(report), args)
+    _emit(args, report.to_json_dict() if args.json else render_milnor(report))
     if INFINITE in (bs.mu_ambient, bs.mu_restriction, bs.mu_boundary):
         return EXIT_NON_ISOLATED
     return EXIT_OK
@@ -101,10 +101,7 @@ def cmd_spectrum(args) -> int:
     w = detect_weights(f)
     spec = spectrum(bs, w)
     report = build_report(args.f, bs, weights=w, spec=spec)
-    if args.json:
-        _emit(report.to_json() + "\n", args)
-    else:
-        _emit(render_spectrum(report), args)
+    _emit(args, report.to_json_dict() if args.json else render_spectrum(report))
     return EXIT_OK
 
 
@@ -126,21 +123,17 @@ def _family_reports(family: str, k_max: int | None) -> list[tuple[int | None, Re
 def cmd_table(args) -> int:
     family = args.family
     rows = _family_reports(family, args.k_max)
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "table",
-            "family": family,
-            "rows": [
-                {"k": k, **r.to_json_dict()} for k, r in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-    else:
-        form = corpus.NORMAL_FORMS[family].form
-        lines = [f"# family {family}: f = {form}, boundary {{x = 0}}"]
-        lines.extend(render_table_row(r, k) for k, r in rows)
-        _emit("\n".join(lines) + "\n", args)
+    _emit(args, {
+        "schema": SCHEMA_VERSION,
+        "command": "table",
+        "family": family,
+        "rows": [
+            {"k": k, **r.to_json_dict()} for k, r in rows
+        ],
+    } if args.json else "\n".join([
+        f"# family {family}: f = {corpus.NORMAL_FORMS[family].form}, boundary {{x = 0}}",
+        *(render_table_row(r, k) for k, r in rows),
+    ]) + "\n")
     return EXIT_OK
 
 
@@ -160,26 +153,15 @@ def cmd_isochore(args) -> int:
             c = c.pad(args.order)
     w, psi = isochore_psi(c, args.n)
     v = PowerSeries1(psi.coefficients[1:])  # psi = t * v
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "isochore",
-            "n": args.n,
-            "c": [rational_to_json(x) for x in c.coefficients],
-            "w": [rational_to_json(x) for x in w.coefficients],
-            "v": [rational_to_json(x) for x in v.coefficients],
-            "psi": [rational_to_json(x) for x in psi.coefficients],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-    else:
-        lines = [
-            f"n = {args.n}",
-            f"c   = {c}",
-            f"w   = {w}",
-            f"v   = {v}",
-            f"psi = {psi}",
-        ]
-        _emit("\n".join(lines) + "\n", args)
+    series = {"c": c, "w": w, "v": v, "psi": psi}
+    _emit(args, {
+        "schema": SCHEMA_VERSION,
+        "command": "isochore",
+        "n": args.n,
+        **{key: [rational_to_json(x) for x in s.coefficients] for key, s in series.items()},
+    } if args.json else "\n".join(
+        [f"n = {args.n}", *(f"{key:<3} = {s}" for key, s in series.items())]
+    ) + "\n")
     return EXIT_OK
 
 
@@ -193,31 +175,25 @@ def cmd_versal(args) -> int:
     missing = [
         format_monomial(m, d.base.ctx.names) for m in rep.missing_directions
     ]
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "versal",
-            "F": args.F,
-            "params": list(params),
-            "base_f": str(d.base.f),
-            "mu_boundary": d.base.mu_boundary,
-            "versal": rep.versal,
-            "spanned_dimension": rep.spanned_dimension,
-            "missing_directions": missing,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-    else:
-        lines = [
-            f"F = {args.F}",
-            f"parameters: {', '.join(params)}",
-            f"base f = {d.base.f}",
-            f"mu_(f,H) = {d.base.mu_boundary}",
-            f"spanned dimension = {rep.spanned_dimension}",
-            f"versal: {'yes' if rep.versal else 'no'}",
-        ]
-        if missing:
-            lines.append(f"missing directions: {', '.join(missing)}")
-        _emit("\n".join(lines) + "\n", args)
+    _emit(args, {
+        "schema": SCHEMA_VERSION,
+        "command": "versal",
+        "F": args.F,
+        "params": list(params),
+        "base_f": str(d.base.f),
+        "mu_boundary": d.base.mu_boundary,
+        "versal": rep.versal,
+        "spanned_dimension": rep.spanned_dimension,
+        "missing_directions": missing,
+    } if args.json else "\n".join([
+        f"F = {args.F}",
+        f"parameters: {', '.join(params)}",
+        f"base f = {d.base.f}",
+        f"mu_(f,H) = {d.base.mu_boundary}",
+        f"spanned dimension = {rep.spanned_dimension}",
+        f"versal: {'yes' if rep.versal else 'no'}",
+        *([f"missing directions: {', '.join(missing)}"] if missing else []),
+    ]) + "\n")
     return EXIT_OK
 
 
@@ -229,34 +205,33 @@ def cmd_reduce(args) -> int:
     w = detect_weights(f)
     cls = brieskorn_reduce(g, bs, w)
     spec = spectrum(bs, w)  # the engine's staircase, certified above
-    if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "reduce",
-            "f": args.f,
-            "g": args.g,
-            "slots": [
-                {
-                    "monomial": format_monomial(e.monomial, ctx.names),
-                    "exponents": list(e.monomial),
-                    "alpha": rational_to_json(e.alpha),
-                    "c": [
-                        [p, rational_to_json(v)]
-                        for p, v in sorted(cls.coordinate(i).items())
-                    ],
-                }
-                for i, e in enumerate(spec.entries)
-            ],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-    else:
-        lines = [f"f = {args.f}", f"g = {args.g}", "slot  monomial  alpha  c_i(t)"]
-        for i, e in enumerate(spec.entries):
-            lines.append(
-                f"{i}  {format_monomial(e.monomial, ctx.names)}  {e.alpha}  "
-                f"{format_t_polynomial(cls.coordinate(i))}"
-            )
-        _emit("\n".join(lines) + "\n", args)
+    _emit(args, {
+        "schema": SCHEMA_VERSION,
+        "command": "reduce",
+        "f": args.f,
+        "g": args.g,
+        "slots": [
+            {
+                "monomial": format_monomial(e.monomial, ctx.names),
+                "exponents": list(e.monomial),
+                "alpha": rational_to_json(e.alpha),
+                "c": [
+                    [p, rational_to_json(v)]
+                    for p, v in sorted(cls.coordinate(i).items())
+                ],
+            }
+            for i, e in enumerate(spec.entries)
+        ],
+    } if args.json else "\n".join([
+        f"f = {args.f}",
+        f"g = {args.g}",
+        "slot  monomial  alpha  c_i(t)",
+        *(
+            f"{i}  {format_monomial(e.monomial, ctx.names)}  {e.alpha}  "
+            f"{format_t_polynomial(cls.coordinate(i))}"
+            for i, e in enumerate(spec.entries)
+        ),
+    ]) + "\n")
     return EXIT_OK
 
 

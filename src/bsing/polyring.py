@@ -306,117 +306,92 @@ class Polynomial:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^]))"
+    r"|(?P<op>[-+*^])|(?P<bad>\S)|\Z)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each number, name and operator; whitespace
+    is skipped wherever it stands."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    # a match starts at every position (a token, a stray character or the
+    # end of the text), so the matches tile the text
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        if kind:
+            tokens.append((kind, m[kind], m.start(kind)))
     return tokens
+
+
+def _add_term(terms: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+    """terms += c*m in place, merged as ``Polynomial.__add__`` merges: a
+    monomial keeps its place and leaves when its coefficient cancels."""
+    if c := terms.get(m, 0) + c:
+        terms[m] = c
+    else:
+        terms.pop(m, None)
 
 
 def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
     """Parse ``text`` into a canonical Polynomial over ``ctx``.
 
-    Grammar: terms joined by ``+``/``-``; a term is a ``*``-joined product
-    of integer or ``p/q`` coefficients and ``var[^exp]`` factors (the ``*``
-    before a variable may be omitted after a coefficient).  Raises
-    :class:`ParseError` with a position for malformed input and for
-    variable names not declared in the context.
+    Grammar: terms joined by ``+``/``-``, the first optionally signed; a
+    term is a ``*``-joined product of integer or ``p/q`` coefficients and
+    ``var[^exp]`` factors.  The ``*`` before a variable may be omitted after
+    any number, an exponent included (``x^2y`` is ``x^2*y``); whitespace is
+    allowed anywhere.  Raises :class:`ParseError` with a position for
+    malformed input and for variable names not declared in the context.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial", 0)
-    result = Polynomial.zero(ctx)
+    terms: dict[Monomial, Fraction] = {}
+    sign, coeff, exps = 1, Fraction(1), [0] * ctx.arity
+    expect_factor = True  # at the start of a term or after '*'
     i = 0
-    sign = 1
-    # leading sign
-    if tokens[i][0] == "op" and tokens[i][1] in "+-":
-        sign = -1 if tokens[i][1] == "-" else 1
-        i += 1
-
-    def parse_term(i: int) -> tuple[Fraction, Monomial, int]:
-        coeff = Fraction(1)
-        exps = [0] * ctx.arity
-        saw_factor = False
-        expect_factor = True
-        while i < len(tokens):
-            kind, val, pos = tokens[i]
-            if kind == "op" and val in "+-" and not expect_factor:
-                break
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    raise ParseError("unexpected '*'", pos)
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor and kind in ("number", "name"):
-                # implicit product like "2x" or "x y" is only allowed
-                # between a coefficient and a variable
-                if kind == "name" and tokens[i - 1][0] == "number":
-                    pass
-                else:
-                    raise ParseError("missing operator", pos)
-            if kind == "number":
-                if "/" in val:
-                    num, den = val.split("/")
-                    if int(den) == 0:
-                        raise ParseError("zero denominator", pos)
-                    coeff *= Fraction(int(num), int(den))
-                else:
-                    coeff *= int(val)
-                saw_factor = True
-                expect_factor = False
-                i += 1
-            elif kind == "name":
-                if val not in ctx.names:
-                    raise ParseError(f"unknown variable {val!r}", pos)
-                vi = ctx.index(val)
-                e = 1
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "number":
-                        raise ParseError("expected integer exponent after '^'",
-                                         tokens[i - 1][2])
-                    if "/" in tokens[i][1]:
-                        raise ParseError("exponent must be an integer", tokens[i][2])
-                    e = int(tokens[i][1])
-                    i += 1
-                exps[vi] += e
-                saw_factor = True
-                expect_factor = False
-            else:
-                raise ParseError(f"unexpected {val!r}", pos)
-        if expect_factor or not saw_factor:
-            where = tokens[i - 1][2] if i > 0 else 0
-            raise ParseError("incomplete term", where)
-        return coeff, tuple(exps), i
-
-    while True:
-        coeff, mono, i = parse_term(i)
-        result = result + Polynomial.monomial(ctx, mono, sign * coeff)
-        if i >= len(tokens):
-            break
+    while i < len(tokens):
         kind, val, pos = tokens[i]
-        if kind == "op" and val in "+-":
+        i += 1
+        # a sign is leading (token 0) or follows a factor, ending its term
+        if kind == "op" and val in "+-" and (i == 1 or not expect_factor):
+            if not expect_factor:
+                _add_term(terms, tuple(exps), sign * coeff)
+                if i == len(tokens):
+                    raise ParseError("dangling operator", pos)
+                coeff, exps, expect_factor = Fraction(1), [0] * ctx.arity, True
             sign = -1 if val == "-" else 1
-            i += 1
-            if i >= len(tokens):
-                raise ParseError("dangling operator", pos)
+        elif kind == "op":
+            if val != "*" or expect_factor:
+                raise ParseError(f"unexpected {val!r}", pos)
+            expect_factor = True
+        elif not expect_factor and (kind == "number" or tokens[i - 2][0] != "number"):
+            # side by side, only a number and a name after it multiply
+            raise ParseError("missing operator", pos)
+        elif kind == "number":
+            num, _, den = val.partition("/")
+            if den and int(den) == 0:
+                raise ParseError("zero denominator", pos)
+            coeff *= Fraction(int(num), int(den or 1))
+            expect_factor = False
         else:
-            raise ParseError(f"unexpected {val!r}", pos)
-    return result
+            if val not in ctx.names:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            v, e = ctx.index(val), 1
+            if i < len(tokens) and tokens[i][1] == "^":
+                if i + 1 == len(tokens) or tokens[i + 1][0] != "number":
+                    raise ParseError("expected integer exponent after '^'", tokens[i][2])
+                _, val, pos = tokens[i + 1]
+                if "/" in val:
+                    raise ParseError("exponent must be an integer", pos)
+                e, i = int(val), i + 2
+            exps[v] += e
+            expect_factor = False
+    if expect_factor:
+        raise ParseError("incomplete term", tokens[-1][2])
+    _add_term(terms, tuple(exps), sign * coeff)
+    return Polynomial._trusted(ctx, terms)
 
 
 # -- truncated univariate power series ----------------------------------------
@@ -513,16 +488,22 @@ class PowerSeries1:
 
 
 def parse_series(text: str) -> PowerSeries1:
-    """Parse comma-separated rational coefficients: ``1,1,1/2`` is
-    1 + t + t^2/2."""
-    parts = [p.strip() for p in text.split(",")]
+    """Parse comma-separated coefficients ``[-]p[/q]``, with whitespace
+    allowed around each: ``1,1,1/2`` is 1 + t + t^2/2.  A malformed
+    coefficient or a zero denominator raises :class:`ParseError` at the
+    coefficient's position in ``text``."""
     coeffs = []
-    pos = 0
-    for p in parts:
-        if not re.fullmatch(r"-?\d+(/\d+)?", p):
-            raise ParseError(f"bad series coefficient {p!r}", pos)
-        coeffs.append(Fraction(p))
-        pos += len(p) + 1
+    start = 0  # of the current part
+    for part in text.split(","):
+        p = part.strip()
+        at = start + len(part) - len(part.lstrip())
+        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", p)
+        if not m:
+            raise ParseError(f"bad series coefficient {p!r}", at)
+        if m[2] and int(m[2]) == 0:
+            raise ParseError("zero denominator", at)
+        coeffs.append(Fraction(int(m[1]), int(m[2] or 1)))
+        start += len(part) + 1
     return PowerSeries1(coeffs)
 
 

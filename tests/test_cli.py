@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -254,6 +255,21 @@ class TestMainInProcess:
         assert cli.main(["table", "--family", "A"]) == cli.EXIT_PARSE
         assert "needs --k-max >= 1" in capsys.readouterr().err
 
+    def test_trailing_whitespace_in_f_is_ignored_and_echoed(self, capsys):
+        assert cli.main(["milnor", "--f", "x^2+y^3 "]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "f = x^2+y^3 "
+        assert lines[2:] == ["mu_f     = 2", "mu_f|H   = 2", "mu_(f,H) = 4",
+                             "additivity: ok (4 = 2 + 2)"]
+        assert err == ""
+
+    def test_zero_denominator_in_a_series_exits_4(self, capsys):
+        assert cli.main(["isochore", "--c", "1,1/0", "--n", "1"]) == cli.EXIT_BAD_SERIES
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invalid series input: zero denominator (at position 2)\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -275,3 +291,84 @@ class TestMainInProcess:
         assert "Traceback" not in err
         # a flag has no text position to point at
         assert "(at position" not in err
+
+
+# every command in text and JSON and every exit code from 0 to 4; flag
+# errors are left out because argparse words them differently across
+# Python versions
+PINNED_ARGVS = [
+    ["milnor", "--f", "x^2+y^3"],
+    ["milnor", "--f", "x^2+y^3", "--json"],
+    ["milnor", "--f", "x^3+y^2"],
+    ["milnor", "--f", "2x^3 - 1/2*y^2", "--json"],
+    ["milnor", "--f", "x+y^2"],
+    ["milnor", "--f", "y^2+x^3+z^2", "--vars", "x,y,z", "--boundary", "y"],
+    ["milnor", "--f", "y^2+x^3+z^2", "--vars", "x,y,z", "--boundary", "y", "--json"],
+    ["milnor", "--f", "x^2*y^2"],
+    ["milnor", "--f", "x^2*y^2", "--json"],
+    ["milnor", "--f", "x"],
+    ["milnor", "--f", "x^2+y^3+1"],
+    ["milnor", "--f", "0"],
+    ["milnor", "--f", "x +"],
+    ["milnor", "--f", "x^"],
+    ["milnor", "--f", "x^2+*y"],
+    ["milnor", "--f", "2/0*x+y^2"],
+    ["milnor", "--f", "x^2+w^3"],
+    ["milnor", "--f", "x^2++y^3"],
+    ["milnor", "--f", "(x+y)"],
+    ["milnor", "--f", "x y"],
+    ["milnor", "--f", ""],
+    ["milnor", "--f", "x^2+y^3", "--boundary", "z"],
+    ["spectrum", "--f", "x^2+y^3"],
+    ["spectrum", "--f", "x^2+y^3", "--json"],
+    ["spectrum", "--f", "x*y+y^3"],
+    ["spectrum", "--f", "x*y+y^3", "--json"],
+    ["spectrum", "--f", "2*x^2+3*y^5"],
+    ["spectrum", "--f", "x+y+y^2"],
+    ["spectrum", "--f", "x^2*y^2"],
+    ["table", "--family", "A", "--k-max", "3"],
+    ["table", "--family", "A", "--k-max", "3", "--json"],
+    ["table", "--family", "B", "--k-max", "3"],
+    ["table", "--family", "C", "--k-max", "3", "--json"],
+    ["table", "--family", "F4"],
+    ["table", "--family", "F4", "--json"],
+    ["table", "--family", "B", "--k-max", "1"],
+    ["isochore", "--c", "1", "--n", "1", "--order", "5"],
+    ["isochore", "--c", "1,1", "--n", "1", "--order", "5", "--json"],
+    ["isochore", "--c", "1,2,-1/3", "--n", "2", "--order", "6"],
+    ["isochore", "--c", "1,2,-1/3", "--n", "2", "--order", "6", "--json"],
+    ["isochore", "--c", "1,-2/3,0,5", "--n", "0"],
+    ["isochore", "--c", "1,1,1", "--n", "1", "--order", "1"],
+    ["isochore", "--c", "2,1", "--n", "1"],
+    ["isochore", "--c", "1,,3", "--n", "1"],
+    ["isochore", "--c", "1,x", "--n", "1"],
+    ["isochore", "--c", "1,1", "--n", "-1"],
+    ["versal", "--F", "x^2+y^3+l1*x+l2*y+l3*x*y", "--params", "l1,l2,l3"],
+    ["versal", "--F", "x^2+y^3+l1*x+l2*y+l3*x*y", "--params", "l1,l2,l3", "--json"],
+    ["versal", "--F", "x^2+y^3+l1*x", "--params", "l1"],
+    ["versal", "--F", "x^2+y^3+l1*x", "--params", "l1", "--json"],
+    ["versal", "--F", "x+y^2+l1", "--params", "l1"],
+    ["versal", "--F", "x+x^2*y+y^4+l1", "--params", "l1"],
+    ["versal", "--F", "x^2+y^3", "--params", ""],
+    ["reduce", "--f", "x^2+y^3", "--g", "x^2+y^3", "--json"],
+    ["reduce", "--f", "x^2+y^3", "--g", "x*y"],
+    ["reduce", "--f", "x^3+y^2", "--g", "1+x*y+y^2"],
+    ["reduce", "--f", "x^3+y^2", "--g", "1+x*y+y^2", "--json"],
+    ["reduce", "--f", "x+y+y^2", "--g", "1"],
+    ["reduce", "--f", "x^2+y^3", "--g", "x+"],
+]
+# sha256 of (argv, exit code, stdout, stderr) over PINNED_ARGVS, taken
+# before the six commands shared one output path
+CLI_BYTES_SHA256 = "28c753776dd1004c475fd98282f8f73f02eeaa1bd45ebdaf88ef9566e49db50f"
+
+
+def test_cli_bytes_match_the_pinned_digest(capsys):
+    h = hashlib.sha256()
+    codes = set()
+    for argv in PINNED_ARGVS:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        codes.add(code)
+        h.update(repr((argv, code, out, err)).encode())
+    assert codes == {0, 1, 2, 3, 4}
+    assert h.hexdigest() == CLI_BYTES_SHA256

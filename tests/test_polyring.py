@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -80,6 +81,55 @@ class TestParsing:
             if p.is_zero():
                 continue
             assert parse_polynomial(str(p), XY) == p
+
+
+# pieces of the seeded parser corpus: operands and operators alternate,
+# with a stray piece in about one slot of seven
+CORPUS_OPERANDS = ("x", "y", "z", "2", "0", "3/4", "1/0", "1 / 2", "2x", " x", "x y",
+                   "x^2", "y^0", "x ^ 3/4")
+CORPUS_OPERATORS = ("+", "-", "*", " + ", " - ", "^", " ", "", "2")
+CORPUS_STRAYS = ("(", ")", "$", "^", "*", "-", "\t")
+# sha256 of (text, str(result) or (message, position)) over the corpus,
+# taken while the parser still ran one loop per term
+PARSER_CORPUS_SHA256 = "bebb35ed802148c814bfad1d712d1a2d6f39b5908f5b88b07dffaf23b818aded"
+
+
+def parser_corpus(n: int = 5000) -> list[str]:
+    rng = random.Random(22)
+    out = []
+    while len(out) < n:
+        text = ""
+        for k in range(rng.randint(1, 7)):
+            pool = (CORPUS_OPERANDS, CORPUS_OPERATORS)[k % 2]
+            text += rng.choice(pool if rng.random() < 0.85 else CORPUS_STRAYS)
+        if text == text.rstrip():  # trailing whitespace is pinned apart
+            out.append(text)
+    return out
+
+
+class TestParserCorpus:
+    def test_results_and_errors_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+        for text in parser_corpus():
+            try:
+                got = str(poly(text))
+            except ParseError as e:
+                got = (str(e), e.position)
+            h.update(repr((text, got)).encode())
+        assert h.hexdigest() == PARSER_CORPUS_SHA256
+
+    def test_a_name_may_follow_any_number_token(self):
+        assert poly("x^2y") == poly("x^2*y")
+        assert poly("1/2 x") == poly("1/2*x")
+
+    def test_trailing_whitespace_is_ignored(self):
+        assert poly("x^2+y^3 ") == poly("x^2+y^3")
+        assert poly(" x \t\n") == poly("x")
+        for text in ("", " ", "\t\n"):
+            with pytest.raises(ParseError) as err:
+                poly(text)
+            assert (str(err.value), err.value.position) == (
+                "empty polynomial (at position 0)", 0)
 
 
 class TestConstructorContract:
@@ -241,6 +291,18 @@ class TestSeries:
         assert parse_series("1,1,1/2") == PowerSeries1([1, 1, Fraction(1, 2)])
         with pytest.raises(ParseError):
             parse_series("1,,2")
+
+    def test_parse_series_rejects_a_zero_denominator(self):
+        with pytest.raises(ParseError, match="zero denominator") as err:
+            parse_series("1, 1/0")
+        assert err.value.position == 3
+
+    def test_parse_series_reports_positions_in_the_original_text(self):
+        for text, at in (("1, x", 3), ("1,  2 , y", 8), (" ,1", 1), ("1,\t", 3)):
+            with pytest.raises(ParseError) as err:
+                parse_series(text)
+            assert err.value.position == at, text
+        assert parse_series(" 1 , -1/2 ") == PowerSeries1([1, Fraction(-1, 2)])
 
     def test_binary_ops_truncate_to_shorter(self):
         a = PowerSeries1([1, 2, 3])
