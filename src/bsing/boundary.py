@@ -17,8 +17,6 @@ from .polyring import Polynomial, VarContext
 from .standard_basis import INFINITE, StandardBasis, quotient_basis, staircase_quotient
 
 _SCREEN_CAP = 9  # a screened basis modulo m^9 with a corner below 9 is exact
-_NON_ISOLATED = ("boundary Milnor number is infinite; "
-                 "pass allow_non_isolated=True to inspect anyway")
 
 
 class InvalidGermError(ValueError):
@@ -26,7 +24,13 @@ class InvalidGermError(ValueError):
 
 
 class NonIsolatedError(ValueError):
-    """The boundary singularity has infinite Milnor number."""
+    """The boundary singularity has infinite Milnor number.  The message is
+    ``reason``, then ``hint`` (how to inspect the germ anyway) if given;
+    ``reason`` is kept so that a front end can give its own hint."""
+
+    def __init__(self, reason: str, hint: str | None = None):
+        super().__init__(reason if hint is None else f"{reason}; {hint}")
+        self.reason = reason
 
 
 def jacobian_ideal_boundary(f: Polynomial) -> list[Polynomial]:
@@ -100,7 +104,8 @@ class BoundarySingularity:
                 raise ValueError(f"screened basis has no corner below {_SCREEN_CAP}")
             self.sb_boundary, self.algebra_boundary = sb, quotient_basis(sb)
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
-            raise NonIsolatedError(_NON_ISOLATED)
+            raise NonIsolatedError("boundary Milnor number is infinite",
+                                   "pass allow_non_isolated=True to inspect anyway")
         self.ambient_gens = jacobian_ideal(f)
         self.sb_ambient, self.algebra_ambient = staircase_quotient(self.ambient_gens)
         self.restriction = restrict_to_boundary(f)

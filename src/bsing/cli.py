@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import corpus
@@ -40,6 +39,7 @@ from .report import (
     SCHEMA_VERSION,
     Report,
     build_report,
+    dumps_schema1,
     rational_to_json,
     render_milnor,
     render_spectrum,
@@ -75,7 +75,7 @@ def _context(args, params: tuple[str, ...] = ()) -> VarContext:
 def _emit(args, output) -> None:
     """Write a command's output to --out or stdout: under --json a payload,
     encoded as JSON schema 1 (sorted keys, indent 2), otherwise text."""
-    text = json.dumps(output, indent=2, sort_keys=True) + "\n" if args.json else output
+    text = dumps_schema1(output) + "\n" if args.json else output
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -152,7 +152,7 @@ def cmd_isochore(args) -> int:
         else:
             c = c.pad(args.order)
     w, psi = isochore_psi(c, args.n)
-    v = PowerSeries1(psi.coefficients[1:])  # psi = t * v
+    v = PowerSeries1._trusted(psi.coefficients[1:])  # psi = t * v
     series = {"c": c, "w": w, "v": v, "psi": psi}
     _emit(args, {
         "schema": SCHEMA_VERSION,
@@ -290,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid germ: {e}", file=sys.stderr)
         return EXIT_PARSE
     except NonIsolatedError as e:
-        print(f"non-isolated: {e}", file=sys.stderr)
+        # every command but milnor refuses such germs, and milnor reports them
+        print(f"non-isolated: {e.reason}; bsing milnor inspects non-isolated germs",
+              file=sys.stderr)
         return EXIT_NON_ISOLATED
     except NotQuasihomogeneousError as e:
         print(f"not quasihomogeneous: {e}", file=sys.stderr)

@@ -12,6 +12,7 @@ Monomials are plain exponent tuples, one entry per context variable.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -396,6 +397,8 @@ def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
 
 # -- truncated univariate power series ----------------------------------------
 
+_ZERO = Fraction(0)
+
 
 class PowerSeries1:
     """Truncated power series in one variable t with Fraction coefficients.
@@ -412,6 +415,14 @@ class PowerSeries1:
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         self.coefficients = coeffs
+
+    @classmethod
+    def _trusted(cls, coefficients: tuple[Fraction, ...]) -> "PowerSeries1":
+        """Wrap ``coefficients`` unchecked and uncopied: the caller hands over
+        a nonempty tuple of Fractions."""
+        s = object.__new__(cls)
+        s.coefficients = coefficients
+        return s
 
     @classmethod
     def constant(cls, c: Rat, order: int = 0) -> "PowerSeries1":
@@ -436,12 +447,14 @@ class PowerSeries1:
     def pad(self, order: int) -> "PowerSeries1":
         if order < self.order:
             raise ValueError("pad cannot shrink a series")
-        return PowerSeries1(
-            self.coefficients + (Fraction(0),) * (order - self.order)
+        return PowerSeries1._trusted(
+            self.coefficients + (_ZERO,) * (order - self.order)
         )
 
     def truncate(self, order: int) -> "PowerSeries1":
-        return PowerSeries1(self.coefficients[: order + 1])
+        if order < 0:
+            raise ValueError("a series needs at least the constant coefficient")
+        return PowerSeries1._trusted(self.coefficients[: order + 1])
 
     def __add__(self, other: "PowerSeries1") -> "PowerSeries1":
         n = min(self.order, other.order)
@@ -475,7 +488,7 @@ class PowerSeries1:
 
     def shift_t(self) -> "PowerSeries1":
         """Multiply by t (order grows by one, nothing is lost)."""
-        return PowerSeries1((Fraction(0),) + self.coefficients)
+        return PowerSeries1._trusted((_ZERO,) + self.coefficients)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -516,9 +529,10 @@ def series_integrate_monomial_weighted(c: PowerSeries1, n: int) -> PowerSeries1:
     """
     if n < 0:
         raise ValueError("n must be a natural number")
-    return PowerSeries1(
-        [c[j] * Fraction(n + 2, n + 2 + 2 * j) for j in range(c.order + 1)]
-    )
+    return PowerSeries1._trusted(tuple(
+        Fraction(cj.numerator * (n + 2), cj.denominator * (n + 2 + 2 * j)) if cj else cj
+        for j, cj in enumerate(c.coefficients)
+    ))
 
 
 def series_rational_power(s: PowerSeries1, q: Rat) -> PowerSeries1:
@@ -530,19 +544,41 @@ def series_rational_power(s: PowerSeries1, q: Rat) -> PowerSeries1:
         r_k = (1/k) * sum_{1 <= i <= k, s_i != 0} ((q + 1) i - k) s_i r_{k-i}
 
     (Knuth, *TAOCP* vol. 2, section 4.7).  The sum runs over the support of
-    s only, so the cost is O(N * #supp s) exact Fraction operations at
-    truncation order N.  Raises :class:`SeriesError` if s(0) != 1.
+    s only, and it runs in integers: with s_i = a_i/d over the lcm d of the
+    coefficient denominators, q + 1 = p/m and r_j = num_j/den_j reduced,
+    step k puts its terms over L = lcm of the den_{k-i} it reads,
+
+        r_k = sum ((p i - k m) a_i num_{k-i} (L / den_{k-i})) / (L k m d),
+
+    and builds r_k as one Fraction, whose gcd is the only reduction of the
+    step.  So the cost is O(N * #supp s) integer multiply-adds and N
+    reductions at truncation order N.  Raises :class:`SeriesError` if
+    s(0) != 1.
     """
     if s[0] != 1:
         raise SeriesError("rational powers require constant term 1")
     q1 = Fraction(q) + 1
-    support = [(i, q1 * i * c, c) for i, c in enumerate(s.coefficients) if i and c]
+    p, m = q1.numerator, q1.denominator
+    d = math.lcm(*(c.denominator for c in s.coefficients))
+    support = [
+        (i, p * i, c.numerator * (d // c.denominator))
+        for i, c in enumerate(s.coefficients) if i and c
+    ]
     r = [Fraction(1)]
+    num, den = [1], [1]  # r_j = num[j] / den[j], reduced
+    active = 0  # support[:active] holds the terms with i <= k
     for k in range(1, s.order + 1):
-        acc = Fraction(0)
-        for i, a, c in support:
-            if i > k:
-                break
-            acc += (a - k * c) * r[k - i]
-        r.append(acc / k)
-    return PowerSeries1(r)
+        if active < len(support) and support[active][0] == k:
+            active += 1
+        terms = support[:active]
+        L = math.lcm(*(den[k - i] for i, _, _ in terms))
+        km = k * m
+        acc = 0
+        for i, pi, a in terms:
+            if num[k - i]:
+                acc += (pi - km) * a * num[k - i] * (L // den[k - i])
+        rk = Fraction(acc, L * km * d)
+        r.append(rk)
+        num.append(rk.numerator)
+        den.append(rk.denominator)
+    return PowerSeries1._trusted(tuple(r))

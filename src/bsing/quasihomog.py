@@ -281,12 +281,24 @@ class BrieskornClass:
         self.coords = clean
 
     @classmethod
+    def _trusted(cls, coords: dict[int, dict[int, Fraction]]) -> "BrieskornClass":
+        """Wrap the coordinates of an internal producer, whose powers are
+        >= -1 and whose values are Fractions already: zeros and empty slots
+        are dropped, nothing is re-wrapped or re-checked."""
+        obj = object.__new__(cls)
+        obj.coords = {
+            i: entry for i, powers in coords.items()
+            if (entry := {j: c for j, c in powers.items() if c})
+        }
+        return obj
+
+    @classmethod
     def zero(cls) -> "BrieskornClass":
         return cls({})
 
     @classmethod
     def basis(cls, i: int) -> "BrieskornClass":
-        return cls({i: {0: Fraction(1)}})
+        return cls._trusted({i: {0: Fraction(1)}})
 
     @property
     def has_pole(self) -> bool:
@@ -300,18 +312,18 @@ class BrieskornClass:
         for i, powers in other.coords.items():
             tgt = out.setdefault(i, {})
             for j, c in powers.items():
-                tgt[j] = tgt.get(j, Fraction(0)) + c
-        return BrieskornClass(out)
+                tgt[j] = tgt[j] + c if j in tgt else c
+        return BrieskornClass._trusted(out)
 
     def scale(self, c: Rat) -> "BrieskornClass":
         c = Fraction(c)
-        return BrieskornClass(
+        return BrieskornClass._trusted(
             {i: {j: c * v for j, v in p.items()} for i, p in self.coords.items()}
         )
 
     def mul_t(self) -> "BrieskornClass":
         """Multiply by t (module structure: t acts as multiplication by f)."""
-        return BrieskornClass(
+        return BrieskornClass._trusted(
             {i: {j + 1: v for j, v in p.items()} for i, p in self.coords.items()}
         )
 
@@ -613,7 +625,7 @@ def brieskorn_reduce(
             div = {m: c for m, c in div.items() if c}
             if div:
                 queue.append((tpow + 1, div, den_part * (D + offset)))
-    return BrieskornClass(coords)
+    return BrieskornClass._trusted(coords)
 
 
 def gauss_manin_apply(cls: BrieskornClass, spec: Spectrum) -> BrieskornClass:
@@ -636,5 +648,5 @@ def gauss_manin_apply(cls: BrieskornClass, spec: Spectrum) -> BrieskornClass:
             if factor == 0:
                 continue
             slot = out.setdefault(i, {})
-            slot[j - 1] = slot.get(j - 1, Fraction(0)) + c * factor
-    return BrieskornClass(out)
+            slot[j - 1] = c * factor
+    return BrieskornClass._trusted(out)

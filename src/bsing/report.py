@@ -20,6 +20,12 @@ from .standard_basis import INFINITE
 SCHEMA_VERSION = 1
 
 
+def dumps_schema1(obj) -> str:
+    """JSON schema-1 text of ``obj``: sorted keys, indent 2, no trailing
+    newline.  Reports and every --json payload of the CLI go through it."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def rational_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
@@ -127,7 +133,7 @@ class Report:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return dumps_schema1(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

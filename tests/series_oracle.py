@@ -21,3 +21,22 @@ def power_oracle(s: PowerSeries1, q) -> PowerSeries1:
             acc -= (i + 1) * r[i + 1] * s[j - i]
         r[j + 1] = acc / (j + 1)
     return PowerSeries1(r)
+
+
+def miller_oracle(s: PowerSeries1, q) -> PowerSeries1:
+    """s^q by Miller's recurrence over the support of s in Fraction
+    arithmetic, every term its own Fraction operation: the loop
+    series_rational_power ran before it moved to integers."""
+    if s[0] != 1:
+        raise SeriesError("rational powers require constant term 1")
+    q1 = Fraction(q) + 1
+    support = [(i, q1 * i * c, c) for i, c in enumerate(s.coefficients) if i and c]
+    r = [Fraction(1)]
+    for k in range(1, s.order + 1):
+        acc = Fraction(0)
+        for i, a, c in support:
+            if i > k:
+                break
+            acc += (a - k * c) * r[k - i]
+        r.append(acc / k)
+    return PowerSeries1(r)

@@ -139,8 +139,9 @@ class TestMilnorNumbers:
         assert milnor_numbers(bsing("x^2+y^2+z^2", XYZ)) == (1, 1, 2)
 
     def test_non_isolated_rejected_by_default(self):
-        with pytest.raises(NonIsolatedError):
+        with pytest.raises(NonIsolatedError, match="allow_non_isolated=True") as err:
             bsing("x")
+        assert err.value.reason == "boundary Milnor number is infinite"
 
     def test_non_isolated_raises_after_the_boundary_basis(self, monkeypatch):
         # a rejected germ builds no ambient or restriction basis; one whose

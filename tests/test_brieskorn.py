@@ -49,6 +49,22 @@ class TestBrieskornClass:
         b = a.scale(2).mul_t() + BrieskornClass.basis(1)
         assert b.coords == {0: {1: F(2)}, 1: {0: F(1)}}
 
+    def test_arithmetic_drops_cancelled_terms(self):
+        a = BrieskornClass({0: {0: F(1), 1: F(2)}, 1: {0: F(3)}})
+        assert (a + a.scale(-1)).coords == {}
+        assert a.scale(0).coords == {}
+        assert (a + BrieskornClass({0: {1: F(-2)}})).coords == {0: {0: F(1)}, 1: {0: F(3)}}
+
+    def test_internal_results_equal_the_public_constructor(self):
+        rng = random.Random(5)
+        for f in ("x^2+y^3", "x^3+y^2", "x*y+y^3"):
+            bs, w, sp = setup(f)
+            for _ in range(5):
+                reduced = brieskorn_reduce(random_poly(rng, XY), bs, w)
+                for cls in (reduced, gauss_manin_apply(reduced, sp), reduced.mul_t()):
+                    assert cls.coords == BrieskornClass(cls.coords).coords
+                    assert all(type(c) is F for p in cls.coords.values() for c in p.values())
+
     def test_deep_poles_rejected(self):
         with pytest.raises(ValueError):
             BrieskornClass({0: {-2: F(1)}})

@@ -15,7 +15,8 @@ from bsing.polyring import (
     series_integrate_monomial_weighted,
     series_rational_power,
 )
-from series_oracle import power_oracle
+from bsing import cli
+from series_oracle import miller_oracle, power_oracle
 
 XY = VarContext(("x", "y"), 0)
 
@@ -395,3 +396,105 @@ class TestMillerRecurrence:
             a = a.scale(rng.choice((0, 1, Fraction(-2, 3))))
             assert a * b == _mul_oracle(a, b)
             assert b * a == _mul_oracle(b, a)
+
+
+# coefficient denominators that share the factors 2 and 3, and that are
+# pairwise coprime
+DENOMINATORS = {"shared": (2, 4, 6, 12, 18), "coprime": (1, 5, 7, 11, 13)}
+# exponents that are negative, integers, or have a large denominator
+DIFFERENTIAL_EXPONENTS = [
+    Fraction(-7, 3), Fraction(-1, 2), -5, -1, 3, 0,
+    Fraction(12345, 1000003), Fraction(-2, 2**61 - 1),
+]
+
+
+def _gapped_series(rng: random.Random, order: int, dense: bool, dens) -> PowerSeries1:
+    """1 + a coefficient at every order (dense), or at a few orders with
+    gaps between them and usually none at t^1."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * order
+    if dense:
+        slots = range(1, order + 1)
+    else:
+        slots = sorted(rng.sample(range(1, order + 1), min(3, order)))
+        if len(slots) > 1 and rng.random() < 0.7:
+            slots = slots[1:]
+    for j in slots:
+        coeffs[j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(dens))
+    return PowerSeries1(coeffs)
+
+
+class TestIntegerMiller:
+    """series_rational_power against the Fraction loop of Miller's recurrence."""
+
+    @pytest.mark.parametrize("dens", DENOMINATORS)
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "gapped"])
+    @pytest.mark.parametrize("q", DIFFERENTIAL_EXPONENTS, ids=str)
+    def test_matches_the_fraction_loop(self, q, dense, dens):
+        rng = random.Random(f"{q}/{dense}/{dens}")
+        for order in (0, 1, 2, 3, 7, 30):
+            for _ in range(3):
+                s = _gapped_series(rng, order, dense, DENOMINATORS[dens])
+                got = series_rational_power(s, q)
+                assert got == miller_oracle(s, q), (order, s)
+                assert type(got.coefficients) is tuple
+                assert all(type(c) is Fraction for c in got.coefficients)
+
+
+def _assert_public(s: PowerSeries1, coefficients) -> None:
+    """s holds a tuple of exact Fractions and equals what the public
+    constructor builds from ``coefficients``."""
+    assert type(s.coefficients) is tuple and s.coefficients
+    assert all(type(c) is Fraction for c in s.coefficients)
+    assert s == PowerSeries1(coefficients)
+
+
+class TestTrustedSeries:
+    """Every series built through PowerSeries1._trusted, against the
+    public constructor."""
+
+    S = PowerSeries1([1, 0, Fraction(-2, 3), 5])
+
+    def test_pad_truncate_and_shift(self):
+        _assert_public(self.S.pad(3), [1, 0, Fraction(-2, 3), 5])
+        _assert_public(self.S.pad(6), [1, 0, Fraction(-2, 3), 5, 0, 0, 0])
+        _assert_public(self.S.truncate(1), [1, 0])
+        _assert_public(self.S.truncate(9), [1, 0, Fraction(-2, 3), 5])
+        _assert_public(self.S.shift_t(), [0, 1, 0, Fraction(-2, 3), 5])
+        for order in (-1, -3):
+            with pytest.raises(ValueError):
+                self.S.truncate(order)
+
+    def test_integrate_and_power(self):
+        for n in (0, 1, 4):
+            c = self.S.pad(8)
+            _assert_public(
+                series_integrate_monomial_weighted(c, n),
+                [x * Fraction(n + 2, n + 2 + 2 * j) for j, x in enumerate(c.coefficients)],
+            )
+        for q in (Fraction(1, 2), -3, 0):
+            got = series_rational_power(self.S, q)
+            _assert_public(got, list(power_oracle(self.S, q).coefficients))
+
+    def test_every_series_of_the_isochore_command(self, monkeypatch, capsys):
+        built = []
+        trusted = PowerSeries1._trusted.__func__
+
+        def spy(cls, coefficients):
+            built.append(trusted(cls, coefficients))
+            return built[-1]
+
+        monkeypatch.setattr(PowerSeries1, "_trusted", classmethod(spy))
+        given = [1, Fraction(-2, 3), 0, Fraction(5, 2), 0, 0, 0]
+        for order in (1, 6):  # truncated, then padded
+            argv = ["isochore", "--c", "1,-2/3,0,5/2", "--n", "2", "--order", str(order)]
+            assert cli.main(argv) == cli.EXIT_OK
+            lines = capsys.readouterr().out.splitlines()[1:]
+            c, w, power, psi, v = built[-5:]
+            named = zip(("c", "w", "v", "psi"), (c, w, v, psi))
+            assert lines == [f"{key:<3} = {x}" for key, x in named]
+            _assert_public(c, given[: order + 1])
+            _assert_public(w, [x * Fraction(2, 2 + j) for j, x in enumerate(c.coefficients)])
+            _assert_public(power, list(miller_oracle(w, Fraction(1, 2)).coefficients))
+            _assert_public(psi, [0, *power.coefficients])
+            _assert_public(v, list(psi.coefficients[1:]))
+        assert len(built) == 10
