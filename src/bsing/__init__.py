@@ -61,8 +61,6 @@ from .standard_basis import (
     LocalAlgebra,
     StandardBasis,
     jet_dimension_oracle,
-    jet_membership_oracle,
-    mora_normal_form,
     quotient_basis,
 )
 
@@ -98,10 +96,8 @@ __all__ = [
     "jacobian_ideal",
     "jacobian_ideal_boundary",
     "jet_dimension_oracle",
-    "jet_membership_oracle",
     "milnor_numbers",
     "monodromy_eigenvalues",
-    "mora_normal_form",
     "ordinary_spectrum",
     "parse_polynomial",
     "parse_series",

@@ -12,6 +12,7 @@ Monomials are plain exponent tuples, one entry per context variable.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -80,6 +81,19 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
+@functools.lru_cache(maxsize=4096)
+def _monomials(W: tuple[int, ...], D: int) -> tuple[Monomial, ...]:
+    """The monomials of W-degree D for positive integer weights W, leading
+    first: by reversed exponents.  With no variables only 1, of degree 0."""
+    if D < 0 or not W:
+        return ((),) if D == 0 else ()
+    heads: list[tuple[Monomial, int]] = [((), D)]  # (exponents so far, degree left)
+    for Wi in W[:-1]:
+        heads = [(m + (e,), r - e * Wi) for m, r in heads for e in range(r // Wi + 1)]
+    out = [m + (r // W[-1],) for m, r in heads if r % W[-1] == 0]
+    return tuple(sorted(out, key=lambda m: m[::-1]))
+
+
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True if ``a`` divides ``b`` exponentwise."""
     return all(x <= y for x, y in zip(a, b))
@@ -129,8 +143,8 @@ class Polynomial:
             m = tuple(m)
             if len(m) != n:
                 raise ValueError(f"monomial {m} does not fit arity {n}")
-            if any(e < 0 for e in m):
-                raise ValueError(f"negative exponent in {m}")
+            if any(type(e) is not int or e < 0 for e in m):
+                raise ValueError(f"non-integer or negative exponent in {m}")
             if c := clean.get(m, 0) + Fraction(c):
                 clean[m] = c
             else:

@@ -32,7 +32,6 @@ eigenvalue relation and confluence checks in the test suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     Rat,
+    _monomials,
     _signed_sum,
     monomial_divides,
     monomial_key,
@@ -190,10 +190,6 @@ class ResidueMatrix:
 
     diagonal: tuple[Fraction, ...]
 
-    @classmethod
-    def from_spectrum(cls, spec: Spectrum) -> "ResidueMatrix":
-        return cls(tuple(spec.residue_diagonal()))
-
 
 def spectrum(bs: BoundarySingularity, weights: Sequence[Rat]) -> Spectrum:
     """Spectrum of the boundary singularity over the staircase basis of
@@ -228,8 +224,8 @@ def spectrum_splitting_check(
     The +1 shift is where the restriction's classes land after wedging
     with df: a class of weighted degree e on the boundary maps to one of
     degree e + (1 - w_x), whose boundary alpha is e + |w'| + 1 with w' the
-    boundary weights.  The two ordinary spectra and the verdict are
-    computed once and kept on the germ's graded engine.
+    boundary weights.  The two ordinary spectra are computed once, and the
+    verdict is kept on the germ's graded engine.
     """
     st = _engine(bs, weights)
     rel = st.spectrum()
@@ -240,8 +236,8 @@ def spectrum_splitting_check(
             raise NotQuasihomogeneousError(
                 "splitting needs a boundary restriction in >= 1 variable"
             )
-        st.ordinary = ambient, restricted = (
-            ordinary_spectrum(bs.f, w), ordinary_spectrum(bs.restriction, w_rest))
+        ambient = ordinary_spectrum(bs.f, w)
+        restricted = ordinary_spectrum(bs.restriction, w_rest)
         st.split = Counter(rel.alphas()) == (
             Counter(ambient.alphas()) + Counter(a + 1 for a in restricted.alphas()))
     return st.split
@@ -253,7 +249,7 @@ def monodromy_eigenvalues(spec: Spectrum) -> list[RootOfUnity]:
 
 
 def residue_matrix(spec: Spectrum) -> ResidueMatrix:
-    return ResidueMatrix.from_spectrum(spec)
+    return ResidueMatrix(tuple(spec.residue_diagonal()))
 
 
 # -- Brieskorn-module normal forms ----------------------------------------------
@@ -343,18 +339,6 @@ def format_t_polynomial(powers: dict[int, Fraction]) -> str:
     return _signed_sum((names.get(j, f"t^{j}"), powers[j]) for j in sorted(powers))
 
 
-@functools.lru_cache(maxsize=4096)
-def _monomials(W: tuple[int, ...], D: int) -> tuple[Monomial, ...]:
-    """The monomials of W-degree D, leading first: by reversed exponents."""
-    if D < 0:
-        return ()
-    heads: list[tuple[Monomial, int]] = [((), D)]  # (exponents so far, degree left)
-    for Wi in W[:-1]:
-        heads = [(m + (e,), r - e * Wi) for m, r in heads for e in range(r // Wi + 1)]
-    out = [m + (r // W[-1],) for m, r in heads if r % W[-1] == 0]
-    return tuple(sorted(out, key=lambda m: m[::-1]))
-
-
 # The echelon of J in one degree D: (columns, index, pivot columns, pivots,
 # tags).  The columns are the monomials of degree D, leading first, and
 # index maps them back; row t is tags[t] = (j, q), the multiple q*G_j of an
@@ -388,8 +372,7 @@ class _GradedIdeal:
     be empty, which puts every monomial above top in J; with ``mu`` given
     the total must be mu.  A failure raises :class:`CertificateError`, or
     :class:`NonIsolatedError` without ``mu``, and caches nothing.
-    ``ordinary`` keeps the splitting law's ordinary spectra of the germ,
-    and ``split`` its verdict.
+    ``split`` keeps the splitting law's verdict on the germ.
     """
 
     def __init__(self, gens: Sequence[Polynomial], w: tuple[Fraction, ...],
@@ -405,7 +388,6 @@ class _GradedIdeal:
         self.degrees = [None if not G else self.degree(next(iter(G))) for G in self.ints]
         self.top: int | None = None
         self.slot: dict[Monomial, int] = {}
-        self.ordinary: tuple[Spectrum, Spectrum] | None = None
         self.split: bool | None = None
         self._spectrum: Spectrum | None = None
         self._echelons: dict[tuple[int, tuple[int, ...]], _Echelon] = {}

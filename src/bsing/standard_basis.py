@@ -3,20 +3,15 @@
 The ring is the localization of the polynomial ring at the maximal ideal of
 the origin; computations use a local monomial ordering (1 is the largest
 monomial) together with Mora's ecart-driven division, which terminates
-where naive division would loop.  The division certificate is exact:
+where naive division would loop.
 
-    unit * p = sum(cofactor_i * G_i) + remainder
-
-with ``unit`` a polynomial of nonzero constant term.
-
-Division is a weak normal form: the guarantee is that the *leading*
-monomial of the remainder lies outside the leading ideal of the divisors.
-A remainder all of whose terms avoid the leading ideal does not exist with
-polynomial data in general (for G = {x + x^2} no polynomial unit turns the
-tail of 1 + x into staircase monomials), so full tail reduction is only
-offered by the graded engine in :mod:`bsing.quasihomog`.  Weak normal
-forms decide ideal membership against a standard basis, which is all the
-Milnor-number layer needs.
+Membership has one test, :meth:`StandardBasis.contains`: the weak normal
+form of p against a standard basis of I is zero iff p lies in I
+(Greuel-Pfister, sections 1.6-1.7).  A weak normal form only guarantees
+that the *leading* monomial of a nonzero remainder lies outside the
+leading ideal; that decides membership, which is all the Milnor-number
+layer needs.  Full tail reduction onto the staircase is offered only by
+the graded engine in :mod:`bsing.quasihomog`.
 
 One fraction-free kernel runs division, S-polynomials and completion on
 inputs made integral once.  Its elements (:class:`_Elem`) are primitive
@@ -33,6 +28,12 @@ denominators; (lam*s_t/den)*rep[t] is divided out once, at the end.
 section 1.7), the least D with m^D in the ideal: 1 + the top degree of the
 staircase of the leading monomials (below the truncation degree once a
 term was dropped), which :func:`_runs` walks.
+
+:func:`jet_dimension_oracle` cross-checks quotient dimensions by linear
+algebra on jets, with no standard basis.  No package code calls it; it
+stays here because the benchmark tracer (``perfbench/tracing.py``) hooks
+it by name.  The membership oracle on the same jets is in the tests
+(``tests/jet_oracle.py``).
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import add, le, sub
 from typing import Sequence
 
-from .polyring import Monomial, Polynomial, VarContext, monomial_key, monomial_mul
+from .polyring import Monomial, Polynomial, VarContext, _monomials, monomial_key, monomial_mul
 
 INFINITE = math.inf
 
@@ -185,36 +186,6 @@ def _push(basis: list[_Elem], lms: list[Monomial], e: _Elem) -> None:
     e.lam = 1
     basis.append(e)
     lms.append(e.lm[:0:-1])
-
-
-def mora_normal_form(
-    p: Polynomial, divisors: Sequence[Polynomial]
-) -> tuple[Polynomial, list[Polynomial], Polynomial]:
-    """Mora weak normal form of ``p`` against ``divisors``.
-
-    Returns ``(remainder, cofactors, unit)`` with the exact identity
-    ``unit * p == sum(cofactors[i] * divisors[i]) + remainder`` and
-    ``unit(0) != 0``.  The remainder is zero or has leading monomial
-    outside the leading ideal of the divisors; against a standard basis
-    this decides membership in the localized ideal.  :func:`_mora` states
-    the selection rule; ties go to the divisors in their order.
-    """
-    divisors = list(divisors)
-    if not divisors:
-        raise ValueError("divisor list must be nonempty")
-    ctx = _context([p, *divisors])
-    zero = Polynomial.zero(ctx)
-    for i, g in enumerate(divisors):
-        # a divisor with nonzero constant term c is a unit of the local
-        # ring: (g/c) * p == (p/c) * g
-        if c0 := g.constant_term():
-            return zero, [p.scale(1 / c0) if j == i else zero
-                          for j in range(len(divisors))], g.scale(1 / c0)
-    # inputs (p, divisors...): the remainder is rep[0]*p + sum(rep[1+i]*divisors[i])
-    elems, scales = _inputs([p, *divisors], track=True)
-    h, _ = _mora(elems[0], [e for e in elems[1:] if e.terms], math.inf)
-    rep = _representation(ctx, h, scales)
-    return _polynomial(ctx, h.terms, h.lam), [-c for c in rep[1:]], rep[0]
 
 
 @dataclass(frozen=True)
@@ -540,15 +511,6 @@ def _corner(lms: Sequence[Monomial], bound: int | None) -> int | None:
     return max((sum(prefix) + top for prefix, top in runs), default=0)
 
 
-@lru_cache(maxsize=None)
-def _of_degree(arity: int, degree: int) -> tuple[Monomial, ...]:
-    """The monomials of total degree ``degree`` in ``arity`` variables."""
-    if arity == 0:
-        return ((),) if degree == 0 else ()
-    return tuple((e, *m) for e in range(degree, -1, -1)
-                 for m in _of_degree(arity - 1, degree - e))
-
-
 def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
     """Monomials outside the leading ideal, or an infinite marker.
 
@@ -659,7 +621,8 @@ def _stable_jet(
     arity = gens[0].context.arity
     prev = None
     for N in range(2, max_jet + 1):
-        monos = sorted((m for d in range(N) for m in _of_degree(arity, d)), key=monomial_key)
+        monos = sorted((m for d in range(N) for m in _monomials((1,) * arity, d)),
+                       key=monomial_key)
         pivots = _echelon(_jet_rows(gens, monos, N))
         codim = len(monos) - len(pivots)
         if codim == prev:
@@ -694,25 +657,3 @@ def jet_dimension_oracle(
         return INFINITE
     _, monos, pivots = stable
     return len(monos) - len(pivots)
-
-
-def jet_membership_oracle(
-    p: Polynomial, gens: Sequence[Polynomial], max_jet: int = 16
-) -> bool:
-    """Brute-force membership of ``p`` in the localized ideal.
-
-    Valid once the jet dimension has stabilized at N (then m^N is inside
-    the ideal): membership is a rank comparison in the degree-< N jet space.
-    """
-    gens = list(gens)
-    _context([p, *gens])
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return p.is_zero()
-    stable = _stable_jet(gens, max_jet)
-    if stable is None:
-        raise ValueError("jet oracle did not stabilize; raise max_jet")
-    N, monos, pivots = stable
-    index = {m: i for i, m in enumerate(monos)}
-    p_row = _cleared({index[m]: c for m, c in p._terms.items() if sum(m) < N})[0]
-    return len(_echelon([p_row], dict(pivots))) == len(pivots)

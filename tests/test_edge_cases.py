@@ -38,12 +38,11 @@ PUBLIC_NAMES = [
     "StandardBasis", "VarContext", "VersalityReport", "brieskorn_reduce",
     "check_additivity", "detect_weights", "euler_check", "gauss_manin_apply",
     "isochore_psi", "jacobian_ideal", "jacobian_ideal_boundary",
-    "jet_dimension_oracle", "jet_membership_oracle", "milnor_numbers",
-    "monodromy_eigenvalues", "mora_normal_form", "ordinary_spectrum",
-    "parse_polynomial", "parse_series", "quotient_basis", "quotient_coordinates",
-    "residue_matrix", "restrict_to_boundary", "series_integrate_monomial_weighted",
-    "series_rational_power", "spectrum", "spectrum_splitting_check",
-    "verify_ode_residual", "versality_check",
+    "jet_dimension_oracle", "milnor_numbers", "monodromy_eigenvalues",
+    "ordinary_spectrum", "parse_polynomial", "parse_series", "quotient_basis",
+    "quotient_coordinates", "residue_matrix", "restrict_to_boundary",
+    "series_integrate_monomial_weighted", "series_rational_power", "spectrum",
+    "spectrum_splitting_check", "verify_ode_residual", "versality_check",
 ]
 
 

@@ -142,6 +142,13 @@ class TestConstructorContract:
         with pytest.raises(ValueError, match="negative exponent"):
             Polynomial(XY, {(1, -1): 1})
 
+    @pytest.mark.parametrize("e", [1.5, 2.0, Fraction(1), "2", None, True])
+    def test_rejects_a_non_integer_exponent(self, e):
+        # a float exponent once built x^1.5 + y^2, on which derivatives
+        # broke the Fraction invariant of every internal result
+        with pytest.raises(ValueError, match="non-integer"):
+            Polynomial(XY, {(e, 0): 1, (0, 2): 1})
+
     def test_merges_duplicates_drops_zero_sums_and_makes_fractions(self):
         p = Polynomial(XY, {(1, 0): 2, (0, 1): 0, (2, 0): Fraction(1, 2)})
         assert p.terms == {(1, 0): 2, (2, 0): Fraction(1, 2)}

@@ -383,7 +383,7 @@ class TestGradedEngine:
         # the engine's staircase only: no ordinary spectrum is built
         engine = bs._graded_engines[w]
         assert {i for i, _, _ in builds} == {engine}
-        assert engine.ordinary is None
+        assert engine.split is None
 
     @pytest.mark.parametrize("f,ctx", ENGINE_GERMS)
     def test_each_generator_order_adds_one_tracked_basis(self, builds, f, ctx):
