@@ -77,6 +77,15 @@ class BoundarySingularity:
     non-isolated germ is rejected before the ambient and restriction
     ideals are touched.
 
+    When the boundary algebra is finite, its basis's ``degree_cap`` D is a
+    corner: m^D lies in J_{f,H} = (x*f_x, f_y), hence in J_f, which
+    contains it, and in J_{f|H}, its image under x -> 0.  So the ambient
+    and restriction ideals each take one standard-basis run truncated
+    below D, with the leading monomials, corners and staircases of an
+    uncapped build (their generator tails past the corner can differ), and
+    both their Milnor numbers are finite.  Without a finite boundary
+    algebra they take the uncapped path.
+
     ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
     ``standard_basis(gens, degree_cap=_SCREEN_CAP)`` for the boundary
     generators ``gens`` of f, its corner below the cap certifying it.
@@ -106,13 +115,18 @@ class BoundarySingularity:
         if not allow_non_isolated and self.algebra_boundary.dimension == INFINITE:
             raise NonIsolatedError("boundary Milnor number is infinite",
                                    "pass allow_non_isolated=True to inspect anyway")
+        # the boundary corner D caps both other runs: m^D lies in J_{f,H},
+        # which lies in J_f and maps onto J_{f|H} under x -> 0
+        cap = self.sb_boundary.degree_cap if self.algebra_boundary.is_finite else None
         self.ambient_gens = jacobian_ideal(f)
-        self.sb_ambient, self.algebra_ambient = staircase_quotient(self.ambient_gens)
+        self.sb_ambient, self.algebra_ambient = staircase_quotient(
+            self.ambient_gens, degree_cap=cap)
         self.restriction = restrict_to_boundary(f)
         # a zero restriction has only zero generators (none in arity 0), which
         # staircase_quotient takes to the point algebra or the infinite marker
         self.restriction_gens = jacobian_ideal(self.restriction)
-        self.sb_restriction, self.algebra_restriction = staircase_quotient(self.restriction_gens)
+        self.sb_restriction, self.algebra_restriction = staircase_quotient(
+            self.restriction_gens, degree_cap=cap)
         self._graded_engines: dict = {}
 
     @cached_property

@@ -22,7 +22,7 @@ from .boundary import (
 )
 from .polyring import Monomial, Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
-from .standard_basis import INFINITE, _axis_orders, quotient_basis, standard_basis
+from .standard_basis import _axis_orders, quotient_basis, standard_basis
 
 DEFAULT_SEED = 20240
 
@@ -36,19 +36,34 @@ def random_germ(rng: random.Random, arity: int) -> Polynomial:
     """Random nonzero germ with f(0) = 0: a sum of 2 to 6 random terms with
     small integer coefficients and total degrees 1 to 6 (fixed, so seeded
     corpora stay put)."""
-    ctx = _CONTEXTS[arity]
-    terms = {}
-    for _ in range(rng.randint(2, 6)):
-        while True:
-            m = tuple(rng.randint(0, 6) for _ in range(arity))
-            if 0 < sum(m) <= 6:
-                break
-        c = rng.choice([-3, -2, -1, 1, 1, 2, 3])
-        terms[m] = terms.get(m, 0) + c
-    p = Polynomial(ctx, terms)
-    if p.is_zero():
-        return random_germ(rng, arity)
-    return p
+    return Polynomial(_CONTEXTS[arity], _random_terms(rng, arity))
+
+
+def _random_terms(rng: random.Random, arity: int) -> dict[Monomial, int]:
+    """The nonzero integer terms of :func:`random_germ`'s draw, redrawn
+    while they cancel to zero."""
+    while True:
+        terms: dict[Monomial, int] = {}
+        for _ in range(rng.randint(2, 6)):
+            while True:
+                m = tuple(rng.randint(0, 6) for _ in range(arity))
+                if 0 < sum(m) <= 6:
+                    break
+            c = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+            terms[m] = terms.get(m, 0) + c
+        if terms := {m: c for m, c in terms.items() if c}:
+            return terms
+
+
+def _boundary_supports(ctx: VarContext, terms: dict[Monomial, int]) -> list[list[Monomial]]:
+    """The supports of :func:`bsing.boundary.jacobian_ideal_boundary` of
+    the germ with nonzero ``terms`` over ``ctx``: x*f_x keeps the monomials
+    with x, and f_{y_i} maps m to m - e_i, which is injective, so no
+    coefficient cancels."""
+    b = ctx.boundary_index
+    return [[m for m in terms if m[b]]] + [
+        [m[:i] + (m[i] - 1,) + m[i + 1:] for m in terms if m[i]]
+        for i in range(ctx.arity) if i != b]
 
 
 def boundary_corpus(
@@ -63,14 +78,17 @@ def boundary_corpus(
     building one exactly can take many runs): one standard basis of the
     boundary Jacobian ideal modulo m^9 must find its highest corner below
     9, certifying m^8 inside the ideal, and its staircase size is then
-    mu_{f,H}.  Before it, a candidate is refused with no basis when some
-    axis x_i has no pure power x_i^k with k < 9 among the generators
-    (:func:`bsing.standard_basis._axis_orders`): with none at all the
-    ideal lies in the axis's ideal, and m^D inside the ideal, restricted to
-    the axis, puts a pure power of order at most D there.  Survivors keep that
-    basis as their boundary basis (its tail can differ from an unscreened
-    build's) and get the ambient and restriction algebras built exactly.
-    A few mu = 0 germs are admitted, so ``max_mu`` must be at least 1.
+    mu_{f,H}.  Before it, a candidate is refused with no polynomial built
+    when some axis x_i has no pure power x_i^k with k < 9 among the
+    generators (:func:`bsing.standard_basis._axis_orders`): with none at all
+    the ideal lies in the axis's ideal, and m^D inside the ideal, restricted
+    to the axis, puts a pure power of order at most D there.  The
+    generators' supports follow from f's alone (:func:`_boundary_supports`).
+    Survivors keep that basis as their boundary basis
+    (its tail can differ from an unscreened build's), and its corner caps
+    their ambient and restriction runs.  Both those Milnor numbers are then
+    finite, as J_{f,H} lies in J_f and maps onto J_{f|H} under x -> 0.  A
+    few mu = 0 germs are admitted, so ``max_mu`` must be at least 1.
     """
     if max_mu < 1:
         raise ValueError("max_mu must be >= 1: the mu = 0 germs are rationed")
@@ -79,11 +97,12 @@ def boundary_corpus(
     trivial_quota = max(2, count // 10)  # a few mu = 0 germs, not a flood
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
-        f = random_germ(rng, arity)
-        gens = jacobian_ideal_boundary(f)
-        orders = _axis_orders(gens)
+        ctx, terms = _CONTEXTS[arity], _random_terms(rng, arity)
+        orders = _axis_orders(_boundary_supports(ctx, terms), arity)
         if orders is None or max(orders) >= _SCREEN_CAP:
             continue
+        f = Polynomial(ctx, terms)
+        gens = jacobian_ideal_boundary(f)
         screen = standard_basis(gens, degree_cap=_SCREEN_CAP)
         if screen.degree_cap >= _SCREEN_CAP:
             continue
@@ -94,10 +113,7 @@ def boundary_corpus(
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1
-        bs = BoundarySingularity(f, _screen=(gens, screen))
-        if INFINITE in (bs.mu_ambient, bs.mu_restriction):
-            continue
-        out.append(bs)
+        out.append(BoundarySingularity(f, _screen=(gens, screen)))
     return out
 
 
@@ -168,9 +184,7 @@ def quasihomogeneous_corpus(
             bs = BoundarySingularity(f)
         except (NotQuasihomogeneousError, NonIsolatedError, InvalidGermError):
             continue
-        if bs.mu_boundary == INFINITE or bs.mu_boundary > max_mu:
-            continue
-        if INFINITE in (bs.mu_ambient, bs.mu_restriction):
+        if bs.mu_boundary > max_mu:  # finite: BoundarySingularity rejects the rest
             continue
         seen.add(f)
         out.append((bs, w))

@@ -49,7 +49,7 @@ def isochore_psi(c: PowerSeries1, n: int) -> tuple[PowerSeries1, PowerSeries1]:
     """
     if c[0] != 1:
         raise SeriesError("volume coefficient must have c(0) = 1")
-    if n < 0:
+    if type(n) is not int or n < 0:  # 2.0 and True are not natural numbers here
         raise ValueError("n must be a natural number")
     w = series_integrate_monomial_weighted(c, n)
     v = series_rational_power(w, Fraction(2, n + 2))

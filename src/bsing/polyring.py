@@ -53,6 +53,8 @@ class VarContext:
             raise ValueError("variable names must be distinct")
         if any(not n for n in self.names):
             raise ValueError("variable names must be non-empty")
+        if self.boundary_index is not None and type(self.boundary_index) is not int:
+            raise ValueError("boundary index must be an int or None")
         if self.boundary_index is not None and not (
             0 <= self.boundary_index < len(self.names) or len(self.names) == 0
         ):

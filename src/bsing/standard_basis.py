@@ -27,7 +27,9 @@ denominators; (lam*s_t/den)*rep[t] is divided out once, at the end.
 :func:`standard_basis` truncates at the highest corner (Greuel-Pfister,
 section 1.7), the least D with m^D in the ideal: 1 + the top degree of the
 staircase of the leading monomials (below the truncation degree once a
-term was dropped), which :func:`_runs` walks.
+term was dropped), which :func:`_runs` walks.  The walk runs only once
+every variable has a pure-power leading monomial below that degree, and
+the basis keeps the last walk's runs for :func:`quotient_basis`.
 
 :func:`jet_dimension_oracle` cross-checks quotient dimensions by linear
 algebra on jets, with no standard basis.  No package code calls it; it
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .polyring import Monomial, Polynomial, VarContext, _monomials, monomial_key, monomial_mul
 
@@ -201,12 +203,16 @@ class StandardBasis:
     whether or not a leading monomial divides it.  :func:`contains` and
     :func:`quotient_basis` honour it.  Below a given cap, and always without
     one, it is the highest corner: m^D lies in the ideal itself.
+
+    ``_walk`` holds the runs of :func:`_runs` when the completion already
+    walked this staircase, so :func:`quotient_basis` need not walk again.
     """
 
     generators: tuple[Polynomial, ...]
     leading_monomials: tuple[Monomial, ...]
     representations: tuple[tuple[Polynomial, ...], ...] | None = None
     degree_cap: int | None = None
+    _walk: list[tuple[Monomial, int]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _elems(self) -> list[_Elem]:
@@ -217,7 +223,9 @@ class StandardBasis:
         """:func:`quotient_basis`.  A run holds at most one monomial per
         degree and prefixes come in lexicographic order, so each degree's
         monomials, reversed, are in ``monomial_key`` order."""
-        runs = _runs(self.leading_monomials, self.degree_cap)
+        runs = self._walk
+        if runs is None:
+            runs = _runs(self.leading_monomials, self.degree_cap)
         if runs is None:
             return LocalAlgebra((), INFINITE)
         buckets: list[list[Monomial]] = [
@@ -259,6 +267,10 @@ def standard_basis(
     m^D needs no generators of its own: an S-pair against a degree-D
     monomial has all its terms in degree >= D, and reducing by one is
     truncation.  It cannot be combined with representation tracking.
+    When m^D is known to lie in the ideal (a corner of a smaller ideal,
+    as :class:`bsing.boundary.BoundarySingularity` passes on), this is
+    one run for the ideal itself: it finds the ideal's own corner at or
+    below D, with the leading monomials of the uncapped build.
 
     Without tracked representations the run stops at the highest corner:
     once the leading monomials cover every monomial of degree D (below the
@@ -316,18 +328,27 @@ def _complete(
                 return unit
             _push(basis, lms, e)
     cap, exact = None, provisional  # the corner found; nothing dropped yet
+    walk = None  # the runs of the staircase of lms, below the cap in force
 
     def corner() -> None:
         """Lower the cap to the highest corner of the leading monomials and
         truncate, keeping its scale, each element with terms on both sides
-        of it (the others would come back unchanged)."""
-        nonlocal cap
+        of it (the others would come back unchanged).  The staircase is
+        walked only when every variable has a pure-power leading monomial
+        below the bound: otherwise x_i^(bound-1) is standard (or, with no
+        bound, the staircase infinite) and no corner lies below it."""
+        nonlocal cap, walk
+        walk = None
         if limit is None:
             return
         # leading monomials of a run that dropped nothing are exact
         bound = cap if cap is not None else None if exact else limit
-        top = _corner(lms, bound)
-        if top is None or top == bound:
+        orders = _axis_orders((lms,), ctx.arity)
+        if orders is None or bound is not None and max(orders, default=0) >= bound:
+            return
+        walk = _runs(lms, bound)
+        top = _corner(walk)
+        if top == bound:
             return
         cap = top
         for n, e in enumerate(basis):
@@ -383,24 +404,28 @@ def _complete(
     )
     gens = tuple(_polynomial(ctx, basis[i].terms, basis[i].lam) for i in keep)
     reps = tuple(_representation(ctx, basis[i], scales) for i in keep) if track else None
+    # a walk after the last push is below the final cap: a lowered cap is
+    # its corner, and an unchanged bound is the cap, or the limit of a run
+    # that had already dropped a term
     return StandardBasis(gens, tuple(lms[i] for i in keep), reps,
-                         cap if cap is not None or exact else limit)
+                         cap if cap is not None or exact else limit, walk)
 
 
-def _axis_orders(gens: list[Polynomial]) -> list[int] | None:
-    """For each variable x_i the least k such that x_i^k is a term of some
-    generator (a constant term counts as k = 0 on every axis), or ``None``
-    when some axis has no such term.
+def _axis_orders(supports: Iterable[Iterable[Monomial]], arity: int) -> list[int] | None:
+    """For each variable x_i the least k such that x_i^k lies in one of the
+    ``supports`` (the monomials of each generator; the constant monomial
+    counts as k = 0 on every axis), or ``None`` when some axis has none.
 
     ``None`` proves the colength infinite: every generator vanishes on
     that axis, so the ideal lies in the ideal of the axis.  And m^D inside
     the ideal makes every order at most D: restricted to the x_i-axis,
     unit * x_i^D = sum(a_j * g_j) has order at least the least order of the
-    g_j there.
+    g_j there.  Read on leading monomials, a ``None`` or an order >= D
+    leaves x_i^(D-1) standard, so no corner lies below D.
     """
-    orders: list = [None] * gens[0].context.arity
-    for g in gens:
-        for m in g._terms:
+    orders: list = [None] * arity
+    for support in supports:
+        for m in support:
             d = sum(m)
             for i, e in enumerate(m):
                 if e == d and (orders[i] is None or d < orders[i]):
@@ -408,7 +433,9 @@ def _axis_orders(gens: list[Polynomial]) -> list[int] | None:
     return None if None in orders else orders
 
 
-def staircase_quotient(gens: Sequence[Polynomial]) -> tuple[StandardBasis | None, "LocalAlgebra"]:
+def staircase_quotient(
+    gens: Sequence[Polynomial], *, degree_cap: int | None = None,
+) -> tuple[StandardBasis | None, "LocalAlgebra"]:
     """Standard basis and staircase of the localized ideal (gens), with
     zero generators dropped.
 
@@ -420,15 +447,21 @@ def staircase_quotient(gens: Sequence[Polynomial]) -> tuple[StandardBasis | None
     and its colength is infinite.  Any other ideal takes one call of
     :func:`standard_basis`, which records the highest corner as
     ``degree_cap`` (``None`` for infinite colength).
+
+    ``degree_cap`` D, when set, is passed on to :func:`standard_basis` and
+    must be a known corner: m^D must lie in the ideal.  Then the one run
+    truncates below D and finds the ideal's own corner, at most D, so the
+    basis has the leading monomials, corner and staircase of an uncapped
+    build; only generator tails past the corner can differ.
     """
     gens = list(gens)
     arity = _context(gens).arity if gens else 0
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return None, LocalAlgebra((), INFINITE) if arity else LocalAlgebra(((),), 1)
-    if _axis_orders(live) is None:
+    if _axis_orders((g._terms for g in live), arity) is None:
         return None, LocalAlgebra((), INFINITE)
-    sb = standard_basis(live)
+    sb = standard_basis(live, degree_cap=degree_cap)
     return sb, quotient_basis(sb)
 
 
@@ -501,11 +534,10 @@ def _runs(lms: Sequence[Monomial], cap: int | None) -> list[tuple[Monomial, int]
     return runs
 
 
-def _corner(lms: Sequence[Monomial], bound: int | None) -> int | None:
-    """1 + the top degree of the standard monomials of ``lms`` below
-    ``bound`` (of any degree for ``None``), or ``None`` when they are
-    infinitely many: a run's top monomial has degree sum(prefix) + top - 1."""
-    runs = _runs(lms, bound)
+def _corner(runs: list[tuple[Monomial, int]] | None) -> int | None:
+    """1 + the top degree of the standard monomials in the :func:`_runs`
+    ``runs``, or ``None`` for ``None`` (infinitely many): a run's top
+    monomial has degree sum(prefix) + top - 1."""
     if runs is None:
         return None
     return max((sum(prefix) + top for prefix, top in runs), default=0)

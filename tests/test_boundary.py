@@ -14,7 +14,7 @@ from bsing.boundary import (
     milnor_numbers,
     restrict_to_boundary,
 )
-from bsing.corpus import boundary_corpus, random_germ
+from bsing.corpus import _boundary_supports, _random_terms, boundary_corpus, random_germ
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
 from bsing.standard_basis import (
     INFINITE,
@@ -25,6 +25,7 @@ from bsing.standard_basis import (
     staircase_quotient,
     standard_basis,
 )
+from capped_sweep import capped_sweep
 
 XY = VarContext(("x", "y"), 0)
 XYZ = VarContext(("x", "y", "z"), 0)
@@ -36,6 +37,11 @@ def poly(s, ctx=XY):
 
 def bsing(s, ctx=XY, **kw):
     return BoundarySingularity(poly(s, ctx), **kw)
+
+
+def _orders(gens):
+    """:func:`_axis_orders` of the generators' supports."""
+    return _axis_orders([g.terms for g in gens], gens[0].context.arity)
 
 
 def count_standard_basis(monkeypatch) -> list:
@@ -90,11 +96,13 @@ class TestJacobianIdeals:
 
     def test_axis_orders(self):
         # the least pure power per axis; a constant counts on every axis
-        assert _axis_orders(jacobian_ideal_boundary(poly("x*y + y^42"))) == [1, 41]
-        assert _axis_orders(jacobian_ideal_boundary(poly("y^2 - 2*x^2*y + x^4"))) == [2, 1]
-        assert _axis_orders(jacobian_ideal_boundary(poly("x*y^2 + y^3"))) is None
-        assert _axis_orders([poly("x*y"), poly("1 + x*y")]) == [0, 0]
-        assert _axis_orders([poly("x^3 + x*y"), poly("x^2*y + y^5")]) == [3, 5]
+        assert _orders(jacobian_ideal_boundary(poly("x*y + y^42"))) == [1, 41]
+        assert _orders(jacobian_ideal_boundary(poly("y^2 - 2*x^2*y + x^4"))) == [2, 1]
+        assert _orders(jacobian_ideal_boundary(poly("x*y^2 + y^3"))) is None
+        assert _orders([poly("x*y"), poly("1 + x*y")]) == [0, 0]
+        assert _orders([poly("x^3 + x*y"), poly("x^2*y + y^5")]) == [3, 5]
+        assert _axis_orders([[(2, 0)], [], [(0, 0)]], 2) == [0, 0]
+        assert _axis_orders([], 0) == []
 
     def test_constant_term_rejected(self):
         with pytest.raises(InvalidGermError):
@@ -259,7 +267,7 @@ class TestCorpusScreen:
         rng = random.Random(4)
         candidates = [random_germ(rng, 2 if i % 3 else 3) for i in range(1000)]
         for f in candidates + [poly("x*y + y^42")]:
-            orders = _axis_orders(jacobian_ideal_boundary(f))
+            orders = _orders(jacobian_ideal_boundary(f))
             if orders is None or max(orders) >= 9:
                 yield f, orders
 
@@ -352,6 +360,22 @@ class TestCorpusScreen:
         with pytest.raises(ValueError, match="no corner below"):
             BoundarySingularity(deep, _screen=screened(deep))
 
+    def test_supports_are_the_generators_supports(self):
+        # the corpus refuses candidates on supports read off f's terms; they
+        # are the supports of the boundary generators, so the orders agree
+        rng = random.Random(6)
+        kinds = Counter()
+        for i in range(400):
+            ctx = XY if i % 2 else XYZ
+            terms = _random_terms(rng, ctx.arity)
+            gens = jacobian_ideal_boundary(Polynomial(ctx, terms))
+            supports = _boundary_supports(ctx, terms)
+            assert [set(s) for s in supports] == [set(g.terms) for g in gens], terms
+            orders = _axis_orders(supports, ctx.arity)
+            assert orders == _orders(gens), terms
+            kinds["refused" if orders is None or max(orders) >= 9 else "screened"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
     def test_max_mu_below_one_is_rejected(self):
         # only mu = 0 germs would qualify, and those are rationed
         with pytest.raises(ValueError, match="max_mu"):
@@ -359,3 +383,61 @@ class TestCorpusScreen:
         corpus = boundary_corpus(seed=1, count=5, max_mu=1)
         assert [milnor_numbers(bs)[2] for bs in corpus].count(0) <= 2
         assert all(milnor_numbers(bs)[2] <= 1 for bs in corpus)
+
+
+class TestInheritedCap:
+    """The boundary corner D caps the ambient and restriction runs: m^D lies
+    in J_{f,H}, hence in J_f and, through x -> 0, in J_{f|H}."""
+
+    @staticmethod
+    def _germs():
+        # unscreened builds of the sweep, then the corpus's screened ones
+        return [BoundarySingularity(f) for f in capped_sweep()] + boundary_corpus(
+            seed=77, count=12)
+
+    def test_capped_bases_match_uncapped_builds(self):
+        kinds = Counter()
+        for bs in self._germs():
+            triple = []
+            for sb, alg, gens in ((bs.sb_ambient, bs.algebra_ambient, bs.ambient_gens),
+                                  (bs.sb_restriction, bs.algebra_restriction,
+                                   bs.restriction_gens)):
+                ref, ref_alg = staircase_quotient(gens)
+                assert alg == ref_alg, str(bs.f)
+                triple.append(ref_alg.dimension)
+                if ref is None:
+                    assert sb is None
+                    kinds["no basis"] += 1
+                    continue
+                assert sb.leading_monomials == ref.leading_monomials, str(bs.f)
+                assert sb.degree_cap == ref.degree_cap <= bs.sb_boundary.degree_cap, str(bs.f)
+                assert all(ref.contains(g) for g in sb.generators), str(bs.f)
+                assert all(sb.contains(g) for g in ref.generators), str(bs.f)
+                kinds["tails differ" if sb.generators != ref.generators else "equal"] += 1
+            assert milnor_numbers(bs) == (*triple, bs.mu_boundary), str(bs.f)
+            kinds[f"arity {bs.ctx.arity}"] += 1
+        assert kinds["arity 3"] >= 15 and kinds["tails differ"] >= 10, kinds
+        assert kinds["equal"] >= 100 and kinds["no basis"] == 0, kinds
+
+    def test_a_unit_boundary_ideal_keeps_unit_bases(self):
+        # mu_{f,H} = 0: the inherited cap is 0, and J_f and J_{f|H} are unit
+        # ideals, whose generators hold a unit before any truncation
+        for text, ctx in (("y + x*y", XY), ("z - 2*x*y^2 + y*z^3", XYZ)):
+            bs = bsing(text, ctx)
+            assert bs.sb_boundary.degree_cap == 0
+            for sb, gens in ((bs.sb_ambient, bs.ambient_gens),
+                             (bs.sb_restriction, bs.restriction_gens)):
+                one = Polynomial.constant(sb.generators[0].context, 1)
+                assert (sb.generators, sb.degree_cap) == ((one,), 0)
+                assert sb == staircase_quotient(gens)[0]
+            assert milnor_numbers(bs) == (0, 0, 0)
+
+    def test_non_isolated_germs_take_the_uncapped_path(self, monkeypatch):
+        # no corner to inherit: the ambient and restriction ideals are built
+        # exactly as staircase_quotient builds them, with infinite numbers
+        calls = count_standard_basis(monkeypatch)
+        bs = bsing("y^2 - 2*x^2*y + x^4", allow_non_isolated=True)
+        assert bs.mu_boundary == INFINITE and bs.mu_ambient == INFINITE
+        assert bs.sb_ambient == staircase_quotient(bs.ambient_gens)[0]
+        assert bs.sb_restriction == staircase_quotient(bs.restriction_gens)[0]
+        assert len(calls) == 5

@@ -55,6 +55,12 @@ class TestIsochorePsi:
         with pytest.raises(SeriesError):
             isochore_psi(PowerSeries1([2, 1]), 1)
 
+    @pytest.mark.parametrize("n", [2.0, True, F(2), -1])
+    def test_rejects_a_non_integer_n(self, n):
+        # 2.0 once failed inside the series code, and True passed as n = 1
+        with pytest.raises(ValueError, match="n must be a natural number"):
+            isochore_psi(PowerSeries1((1, 2, 3)), n)
+
     def test_residual_and_normalization(self):
         rng = random.Random(3)
         for n in (1, 2, 3):

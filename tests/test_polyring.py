@@ -149,6 +149,14 @@ class TestConstructorContract:
         with pytest.raises(ValueError, match="non-integer"):
             Polynomial(XY, {(e, 0): 1, (0, 2): 1})
 
+    @pytest.mark.parametrize("b", [1.0, True, Fraction(1), "1"])
+    def test_rejects_a_non_integer_boundary_index(self, b):
+        # a float index once reached tuple indexing inside the Milnor numbers
+        with pytest.raises(ValueError, match="boundary index must be an int"):
+            VarContext(("x", "y"), b)
+        assert VarContext(("x", "y"), 1).boundary_index == 1
+        assert VarContext(("x", "y"), None).boundary_index is None
+
     def test_merges_duplicates_drops_zero_sums_and_makes_fractions(self):
         p = Polynomial(XY, {(1, 0): 2, (0, 1): 0, (2, 0): Fraction(1, 2)})
         assert p.terms == {(1, 0): 2, (2, 0): Fraction(1, 2)}

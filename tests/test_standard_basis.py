@@ -35,6 +35,7 @@ from bsing.standard_basis import (
     staircase_quotient,
     standard_basis,
 )
+from capped_sweep import capped_sweep
 from jet_oracle import jet_membership_oracle
 from untruncated import untruncated_basis
 
@@ -442,7 +443,7 @@ class TestStaircaseQuotient:
         for gens in _seeded_ideals():
             sb = standard_basis(gens)
             alg = quotient_basis(sb)
-            if _axis_orders(gens) is None:
+            if _axis_orders([g.terms for g in gens], gens[0].context.arity) is None:
                 assert alg.dimension == INFINITE, [str(g) for g in gens]
                 assert staircase_quotient(gens) == (None, alg)
                 kinds["axis-free"] += 1
@@ -628,8 +629,11 @@ class TestPinnedIdentity:
     # generators that corner truncation leaves non-primitive (2*x from
     # 2*x + 3*y^9) and the representations of each tracked basis.  It was
     # taken on code that still gave the Fraction kernel's digest of these
-    # records plus two division certificates per tracked ideal
-    DIGEST = "e7066204c821506d5b33ed9aa13343828226f9f0939a46a492ac227da48cbffe"
+    # records plus two division certificates per tracked ideal, and re-taken
+    # when the boundary corner began to cap the ambient and restriction runs:
+    # two ambient generators lost tail terms at or past their corner, with
+    # leading monomials, corners, staircases and ideals unchanged
+    DIGEST = "58c4bef495761a006672de6668a59545e96655a0e5ec3f55d7fd25f47dd2a9c5"
 
     def test_bases_and_certificates_are_unchanged(self):
         records = []
@@ -666,7 +670,7 @@ class TestCornerRule:
             bound = rng.choice((1, rng.randint(1, 14)))
             box = TestQuotientBasis.box_staircase(lms, bound)
             walk = 1 + max((sum(m) for m in box), default=-1)
-            assert _corner(lms, bound) == walk, (lms, bound)
+            assert _corner(_runs(lms, bound)) == walk, (lms, bound)
             runs = [p + (e,) for p, top in _runs(lms, bound) for e in range(top)]
             assert sorted(runs, key=monomial_key) == box, (lms, bound)
             seen["one"] += (0,) * arity in lms
@@ -675,6 +679,38 @@ class TestCornerRule:
             seen["bound 1"] += bound == 1
             seen["lowered"] += walk < bound
         assert min(seen.values()) >= 30, seen
+
+
+class TestReusedWalk:
+    def test_kept_runs_give_the_walked_algebra(self):
+        # a basis keeps the runs of its completion's last walk when no push
+        # followed it; its algebra equals a fresh walk of its staircase
+        bases = [standard_basis(gens, degree_cap=cap)
+                 for gens in _seeded_ideals() for cap in (9, None)]
+        for f in capped_sweep():
+            bs = BoundarySingularity(f)
+            bases += [bs.sb_boundary, bs.sb_ambient, bs.sb_restriction]
+        kept = 0
+        for sb in bases:
+            fresh = StandardBasis(sb.generators, sb.leading_monomials, None, sb.degree_cap)
+            assert fresh._walk is None and fresh == sb
+            kept += sb._walk is not None
+            assert quotient_basis(sb) == quotient_basis(fresh), sb
+        assert kept >= 150 and len(bases) - kept >= 20, (kept, len(bases))
+
+    def test_the_pure_power_gate_changes_no_result(self, monkeypatch):
+        # the walk is skipped only where it could find no corner: walking
+        # after every push gives the same bases
+        ideals = list(_seeded_ideals())
+        for f in capped_sweep():
+            ideals += [jacobian_ideal(f), jacobian_ideal_boundary(f)]
+        gated = [standard_basis(gens, degree_cap=cap) for gens in ideals for cap in (9, None)]
+        monkeypatch.setattr(sb_module, "_axis_orders", lambda supports, arity: [0] * arity)
+        walked = [standard_basis(gens, degree_cap=cap) for gens in ideals for cap in (9, None)]
+        for a, b in zip(gated, walked):
+            assert (a.generators, a.leading_monomials, a.degree_cap) == (
+                b.generators, b.leading_monomials, b.degree_cap)
+            assert quotient_basis(a) == quotient_basis(b)
 
 
 def _check_pushed(e, gens, tracked):
