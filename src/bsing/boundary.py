@@ -14,7 +14,7 @@ import warnings
 from functools import cached_property
 
 from .polyring import Polynomial, VarContext
-from .standard_basis import INFINITE, StandardBasis, quotient_basis, staircase_quotient
+from .standard_basis import INFINITE, StandardBasis, _Elem, _keyed, _staircase, quotient_basis
 
 _SCREEN_CAP = 9  # a screened basis modulo m^9 with a corner below 9 is exact
 
@@ -63,15 +63,52 @@ def restrict_to_boundary(f: Polynomial) -> Polynomial:
     return f.substitute_zero(b)
 
 
+# Kernel elements of the Jacobian ideals, read off f's integer terms on
+# kernel keys (deg, e_n, ..., e_1), variable i of n at position n - i:
+# d/dx_i lowers the degree and that position by one and multiplies by the
+# exponent there, x*d/dx keeps the key, and x -> 0 drops x's position.  An
+# element is primitive whatever the scale of its terms, so these are the
+# _inputs of the Polynomial generators built above.
+
+
+def _partial(terms: dict, p: int) -> _Elem:
+    """d/dx of the key ``terms``, with x at key position ``p``."""
+    return _Elem({(k[0] - 1, *k[1:p], k[p] - 1, *k[p + 1:]): c * k[p]
+                  for k, c in terms.items() if k[p]})
+
+
+def _boundary_elems(terms: dict, n: int, b: int) -> list[_Elem]:
+    """The elements of [x*df/dx, df/dy_1, ...] for f with the key ``terms``
+    in ``n`` variables, x = x_b."""
+    p = n - b
+    return [_Elem({k: c * k[p] for k, c in terms.items() if k[p]})] + [
+        _partial(terms, n - i) for i in range(n) if i != b]
+
+
+def _ideal_elems(f: Polynomial) -> tuple[list[_Elem], list[_Elem], list[_Elem]]:
+    """The elements of J_{f,H}, J_f and J_{f|H}, in the order of their
+    generator lists; J_f shares its df/dy_i with J_{f,H}."""
+    terms = _keyed(f)[0]
+    n, b = f.context.arity, f.context.boundary_index
+    boundary = _boundary_elems(terms, n, b)
+    p = n - b
+    rest = {k[:p] + k[p + 1:]: c for k, c in terms.items() if not k[p]}
+    return (boundary, [*boundary[1:b + 1], _partial(terms, p), *boundary[b + 1:]],
+            [_partial(rest, n - 1 - j) for j in range(n - 1)])
+
+
 class BoundarySingularity:
     """A germ f with a marked boundary hyperplane, with its standard bases
     and local algebras computed eagerly.
 
-    Immutable after construction, apart from the cache of graded engines
-    that the quasihomogeneous computations fill per weight vector; rejects
-    non-isolated input (infinite boundary Milnor number) unless
-    ``allow_non_isolated`` is set.  Each ideal goes through
-    :func:`bsing.standard_basis.staircase_quotient`, so its ``sb_*``
+    Immutable after construction, apart from the public generators
+    (``boundary_gens``, ``ambient_gens``, ``restriction``,
+    ``restriction_gens``), built on first access, and the cache of graded
+    engines that the quasihomogeneous computations fill per weight vector;
+    rejects non-isolated input (infinite boundary Milnor number) unless
+    ``allow_non_isolated`` is set.  The kernel elements of each ideal are
+    read off f's integer terms (:func:`_ideal_elems`) and go through the
+    rules of :func:`bsing.standard_basis.staircase_quotient`, so its ``sb_*``
     attribute is ``None`` where that builds no basis: for a zero ideal, or
     one with an axis free of pure powers (infinite colength).  A
     non-isolated germ is rejected before the ambient and restriction
@@ -86,13 +123,14 @@ class BoundarySingularity:
     both their Milnor numbers are finite.  Without a finite boundary
     algebra they take the uncapped path.
 
-    ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
-    ``standard_basis(gens, degree_cap=_SCREEN_CAP)`` for the boundary
-    generators ``gens`` of f, its corner below the cap certifying it.
+    ``_screen = (elems, sb)`` is private to ``boundary_corpus``: ``sb`` is
+    the basis modulo m^9 (``_SCREEN_CAP``) of the kernel elements ``elems``
+    of f's boundary generators, checked against f's own, its corner below
+    the cap certifying it.
     """
 
     def __init__(self, f: Polynomial, allow_non_isolated: bool = False, *,
-                 _screen: tuple[list[Polynomial], StandardBasis] | None = None):
+                 _screen: tuple[list[_Elem], StandardBasis] | None = None):
         if f.is_zero():
             raise InvalidGermError("f must be nonzero")
         if f.constant_term() != 0:
@@ -102,12 +140,12 @@ class BoundarySingularity:
         self.f = f
         self.ctx: VarContext = f.context
 
-        self.boundary_gens = jacobian_ideal_boundary(f)
+        boundary, ambient, restriction = _ideal_elems(f)
         if _screen is None:
-            self.sb_boundary, self.algebra_boundary = staircase_quotient(self.boundary_gens)
+            self.sb_boundary, self.algebra_boundary = _staircase(self.ctx, boundary, None)
         else:
-            gens, sb = _screen
-            if gens != self.boundary_gens:
+            elems, sb = _screen
+            if [e.terms for e in elems] != [e.terms for e in boundary]:
                 raise ValueError("screened basis is not of this germ's boundary generators")
             if sb.degree_cap is None or sb.degree_cap >= _SCREEN_CAP:
                 raise ValueError(f"screened basis has no corner below {_SCREEN_CAP}")
@@ -118,16 +156,28 @@ class BoundarySingularity:
         # the boundary corner D caps both other runs: m^D lies in J_{f,H},
         # which lies in J_f and maps onto J_{f|H} under x -> 0
         cap = self.sb_boundary.degree_cap if self.algebra_boundary.is_finite else None
-        self.ambient_gens = jacobian_ideal(f)
-        self.sb_ambient, self.algebra_ambient = staircase_quotient(
-            self.ambient_gens, degree_cap=cap)
-        self.restriction = restrict_to_boundary(f)
+        self.sb_ambient, self.algebra_ambient = _staircase(self.ctx, ambient, cap)
         # a zero restriction has only zero generators (none in arity 0), which
-        # staircase_quotient takes to the point algebra or the infinite marker
-        self.restriction_gens = jacobian_ideal(self.restriction)
-        self.sb_restriction, self.algebra_restriction = staircase_quotient(
-            self.restriction_gens, degree_cap=cap)
+        # take it to the point algebra or the infinite marker
+        self.sb_restriction, self.algebra_restriction = _staircase(
+            self.ctx.drop(self.ctx.boundary_index), restriction, cap)
         self._graded_engines: dict = {}
+
+    @cached_property
+    def boundary_gens(self) -> list[Polynomial]:
+        return jacobian_ideal_boundary(self.f)
+
+    @cached_property
+    def ambient_gens(self) -> list[Polynomial]:
+        return jacobian_ideal(self.f)
+
+    @cached_property
+    def restriction(self) -> Polynomial:
+        return restrict_to_boundary(self.f)
+
+    @cached_property
+    def restriction_gens(self) -> list[Polynomial]:
+        return jacobian_ideal(self.restriction)
 
     @cached_property
     def mu_ambient(self) -> int | float:

@@ -18,11 +18,11 @@ from .boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
-    jacobian_ideal_boundary,
+    _boundary_elems,
 )
 from .polyring import Monomial, Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
-from .standard_basis import _axis_orders, quotient_basis, standard_basis
+from .standard_basis import _axis_orders, _basis, _key, quotient_basis
 
 DEFAULT_SEED = 20240
 
@@ -76,19 +76,22 @@ def boundary_corpus(
 
     Candidates are screened first (most random germs are degenerate, and
     building one exactly can take many runs): one standard basis of the
-    boundary Jacobian ideal modulo m^9 must find its highest corner below
-    9, certifying m^8 inside the ideal, and its staircase size is then
-    mu_{f,H}.  Before it, a candidate is refused with no polynomial built
-    when some axis x_i has no pure power x_i^k with k < 9 among the
-    generators (:func:`bsing.standard_basis._axis_orders`): with none at all
-    the ideal lies in the axis's ideal, and m^D inside the ideal, restricted
-    to the axis, puts a pure power of order at most D there.  The
-    generators' supports follow from f's alone (:func:`_boundary_supports`).
-    Survivors keep that basis as their boundary basis
-    (its tail can differ from an unscreened build's), and its corner caps
-    their ambient and restriction runs.  Both those Milnor numbers are then
-    finite, as J_{f,H} lies in J_f and maps onto J_{f|H} under x -> 0.  A
-    few mu = 0 germs are admitted, so ``max_mu`` must be at least 1.
+    boundary Jacobian ideal modulo m^9, on kernel elements read off the
+    integer terms (:func:`bsing.boundary._boundary_elems`), must find its
+    highest corner below 9, certifying m^8 inside the ideal, and its
+    staircase size is then mu_{f,H}.  Before it, a candidate is refused
+    with nothing built when some axis x_i has no pure power x_i^k with
+    k < 9 among the generators (:func:`bsing.standard_basis._axis_orders`):
+    with none at all the ideal lies in the axis's ideal, and m^D inside the
+    ideal, restricted to the axis, puts a pure power of order at most D
+    there.  The generators' supports follow from f's alone
+    (:func:`_boundary_supports`).  A survivor hands those elements, checked
+    against its own, and that basis to its germ, which keeps the basis as
+    its boundary basis (its tail can differ from an unscreened build's);
+    the basis's corner caps the germ's ambient and restriction runs.  Both
+    those Milnor numbers are then finite, as J_{f,H} lies in J_f and maps
+    onto J_{f|H} under x -> 0.  A few mu = 0 germs are admitted, so
+    ``max_mu`` must be at least 1.
     """
     if max_mu < 1:
         raise ValueError("max_mu must be >= 1: the mu = 0 germs are rationed")
@@ -101,9 +104,8 @@ def boundary_corpus(
         orders = _axis_orders(_boundary_supports(ctx, terms), arity)
         if orders is None or max(orders) >= _SCREEN_CAP:
             continue
-        f = Polynomial(ctx, terms)
-        gens = jacobian_ideal_boundary(f)
-        screen = standard_basis(gens, degree_cap=_SCREEN_CAP)
+        elems = _boundary_elems({_key(m): c for m, c in terms.items()}, arity, 0)
+        screen = _basis(ctx, elems, [], False, _SCREEN_CAP)
         if screen.degree_cap >= _SCREEN_CAP:
             continue
         mu = quotient_basis(screen).dimension
@@ -113,7 +115,7 @@ def boundary_corpus(
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1
-        out.append(BoundarySingularity(f, _screen=(gens, screen)))
+        out.append(BoundarySingularity(Polynomial(ctx, terms), _screen=(elems, screen)))
     return out
 
 

@@ -14,9 +14,13 @@ layer needs.  Full tail reduction onto the staircase is offered only by
 the graded engine in :mod:`bsing.quasihomog`.
 
 One fraction-free kernel runs division, S-polynomials and completion on
-inputs made integral once.  Its elements (:class:`_Elem`) are primitive
-integer polynomials with positive leading coefficient, with leading
-monomial, leading coefficient and ecart cached.  A step replaces h by
+integer elements (:class:`_Elem`): primitive integer polynomials with
+positive leading coefficient, with leading monomial, leading coefficient
+and ecart cached.  :func:`_inputs` clears ``Polynomial`` generators to
+elements once; :class:`bsing.boundary.BoundarySingularity` reads the
+elements of its Jacobian ideals off the germ's integer terms instead.
+Every basis is built by :func:`_basis` and keeps the elements of its
+generators for :meth:`StandardBasis.contains`.  A step replaces h by
 (lc_g/d)*h - (lc_h/d)*x^q*g, d = gcd(lc_h, lc_g), truncates and divides
 out the content, so a value is known up to a rational multiple, which
 a basis or a membership test allows.  Tracked, an element carries the
@@ -99,13 +103,19 @@ class _Elem:
         self.rep, self.den = rep, den
 
 
+def _keyed(p: Polynomial) -> tuple[dict, int]:
+    """The terms of ``p`` on kernel keys, made integral by the least s > 0,
+    and s."""
+    s = math.lcm(*(c.denominator for c in p._terms.values()))
+    return {_key(m): c.numerator * (s // c.denominator) for m, c in p._terms.items()}, s
+
+
 def _inputs(polys: Sequence[Polynomial], track: bool = False) -> tuple[list[_Elem], list[int]]:
     """The elements of ``polys``, made integral by the least s_t > 0, and
     the s_t; tracked, input t has the representation e_t."""
     elems, scales = [], []
     for t, p in enumerate(polys):
-        s = math.lcm(*(c.denominator for c in p._terms.values()))
-        terms = {_key(m): c.numerator * (s // c.denominator) for m, c in p._terms.items()}
+        terms, s = _keyed(p)
         one = {(0,) * (p.context.arity + 1): 1}
         rep = [one if u == t else {} for u in range(len(polys))] if track else None
         elems.append(_Elem(terms, Fraction(1, s), rep) if track else _Elem(terms))
@@ -206,6 +216,9 @@ class StandardBasis:
 
     ``_walk`` holds the runs of :func:`_runs` when the completion already
     walked this staircase, so :func:`quotient_basis` need not walk again.
+    ``_elems`` holds the kernel elements of ``generators``, in their order,
+    for :meth:`contains`: the completion hands over the ones it kept, and a
+    basis built by hand converts its generators once.
     """
 
     generators: tuple[Polynomial, ...]
@@ -213,10 +226,11 @@ class StandardBasis:
     representations: tuple[tuple[Polynomial, ...], ...] | None = None
     degree_cap: int | None = None
     _walk: list[tuple[Monomial, int]] | None = field(default=None, repr=False, compare=False)
+    _elems: list[_Elem] | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
-    def _elems(self) -> list[_Elem]:
-        return _inputs(self.generators)[0]
+    def __post_init__(self):
+        if self._elems is None:
+            object.__setattr__(self, "_elems", _inputs(self.generators)[0])
 
     @cached_property
     def _algebra(self) -> LocalAlgebra:
@@ -277,10 +291,12 @@ def standard_basis(
     truncation degree if a term was dropped), m^D lies in I + m^(D+1), so
     in I by Nakayama's lemma, and the run goes on modulo m^D.  Uncapped
     Mora division can take minutes on an ideal of small colength, so
-    without a cap truncation starts at degree 6, rising by half for a run
-    that dropped terms and found no corner below it.  The result records
-    the corner, else ``None`` if nothing was dropped (infinite colength),
-    else the given cap.
+    without a cap truncation runs at the degrees 6, 9, 13, ..., each half
+    above the last, from the first one above every axis order of the
+    generators (:func:`_axis_orders`; no corner lies at or below those),
+    rising for a run that dropped terms and found no corner below it.  The
+    result records the corner, else ``None`` if nothing was dropped
+    (infinite colength), else the given cap.
     """
     if degree_cap is not None and track_representations:
         raise ValueError("degree_cap would corrupt tracked representations")
@@ -288,10 +304,23 @@ def standard_basis(
     if all(g.is_zero() for g in inputs):
         raise ValueError("standard basis of the zero ideal is not supported here")
     ctx = _context(inputs)
-    elems, scales = _inputs(inputs, track_representations)
-    if track_representations or degree_cap is not None:
-        return _complete(ctx, elems, scales, track_representations, degree_cap)
+    return _basis(ctx, *_inputs(inputs, track_representations), track_representations, degree_cap)
+
+
+def _basis(
+    ctx: VarContext, elems: list[_Elem], scales: list[int], track: bool, degree_cap: int | None,
+) -> StandardBasis:
+    """:func:`standard_basis` of the kernel ``elems``, not all zero, with
+    their :func:`_inputs` ``scales`` when tracked: every basis is built
+    here.  A rung of the rising degree at or below an axis order would find
+    no corner, and one that dropped nothing would repeat step for step at
+    any higher rung, so skipping it changes no result."""
+    if track or degree_cap is not None:
+        return _complete(ctx, elems, scales, track, degree_cap)
+    orders = _axis_orders(([k[1:] for k in e.terms] for e in elems), ctx.arity)
     limit = 6
+    while limit <= max(orders or [0]):
+        limit += limit // 2
     while (sb := _complete(ctx, elems, scales, False, limit, provisional=True)) is None:
         limit += limit // 2
     return sb
@@ -318,7 +347,8 @@ def _complete(
             return None
         e.lam = Fraction(1, e.lc)
         reps = (_representation(ctx, e, scales),) if track else None
-        return StandardBasis((Polynomial.constant(ctx, 1),), ((0,) * ctx.arity,), reps, 0)
+        return StandardBasis((Polynomial.constant(ctx, 1),), ((0,) * ctx.arity,), reps, 0,
+                             None, [_Elem({(0,) * (ctx.arity + 1): 1})])
 
     basis: list[_Elem] = []
     lms: list[Monomial] = []
@@ -402,13 +432,14 @@ def _complete(
             for j, m in enumerate(keys) if j != i)),
         key=lambda i: monomial_key(lms[i]),
     )
-    gens = tuple(_polynomial(ctx, basis[i].terms, basis[i].lam) for i in keep)
-    reps = tuple(_representation(ctx, basis[i], scales) for i in keep) if track else None
+    kept = [basis[i] for i in keep]
+    gens = tuple(_polynomial(ctx, e.terms, e.lam) for e in kept)
+    reps = tuple(_representation(ctx, e, scales) for e in kept) if track else None
     # a walk after the last push is below the final cap: a lowered cap is
     # its corner, and an unchanged bound is the cap, or the limit of a run
     # that had already dropped a term
     return StandardBasis(gens, tuple(lms[i] for i in keep), reps,
-                         cap if cap is not None or exact else limit, walk)
+                         cap if cap is not None or exact else limit, walk, kept)
 
 
 def _axis_orders(supports: Iterable[Iterable[Monomial]], arity: int) -> list[int] | None:
@@ -455,13 +486,22 @@ def staircase_quotient(
     build; only generator tails past the corner can differ.
     """
     gens = list(gens)
-    arity = _context(gens).arity if gens else 0
-    live = [g for g in gens if not g.is_zero()]
+    return _staircase(_context(gens) if gens else None, _inputs(gens)[0], degree_cap)
+
+
+def _staircase(
+    ctx: VarContext | None, elems: list[_Elem], degree_cap: int | None,
+) -> tuple[StandardBasis | None, "LocalAlgebra"]:
+    """:func:`staircase_quotient` of the kernel ``elems`` over ``ctx``
+    (``None``: no elements, no variables).  The orders read off the keys
+    run backwards, which only reorders them."""
+    arity = ctx.arity if ctx else 0
+    live = [e for e in elems if e.terms]
     if not live:
         return None, LocalAlgebra((), INFINITE) if arity else LocalAlgebra(((),), 1)
-    if _axis_orders((g._terms for g in live), arity) is None:
+    if _axis_orders(([k[1:] for k in e.terms] for e in live), arity) is None:
         return None, LocalAlgebra((), INFINITE)
-    sb = standard_basis(live, degree_cap=degree_cap)
+    sb = _basis(ctx, live, [], False, degree_cap)
     return sb, quotient_basis(sb)
 
 

@@ -9,7 +9,9 @@ from bsing.boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
+    _ideal_elems,
     check_additivity,
+    jacobian_ideal,
     jacobian_ideal_boundary,
     milnor_numbers,
     restrict_to_boundary,
@@ -45,15 +47,17 @@ def _orders(gens):
 
 
 def count_standard_basis(monkeypatch) -> list:
-    """The arguments of every later standard_basis call, as they happen."""
+    """The arguments of every later standard-basis build, as they happen:
+    the calls of ``_basis``, which standard_basis, staircase_quotient and
+    BoundarySingularity all build through."""
     calls = []
-    real = sb_module.standard_basis
+    real = sb_module._basis
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sb_module, "standard_basis", counting)
+    monkeypatch.setattr(sb_module, "_basis", counting)
     return calls
 
 
@@ -284,7 +288,7 @@ class TestCorpusScreen:
         # an axis free of pure powers proves mu_{f,H} infinite; checked by a
         # standard basis on the plane candidates (the 3-variable ones are
         # left out: the boundary bases of many of them are unbounded work,
-        # ROADMAP item 5)
+        # ROADMAP item 3)
         refused = [f for f, orders in self._axis_refusals()
                    if orders is None and f.context.arity == 2]
         assert len(refused) == 331
@@ -347,7 +351,7 @@ class TestCorpusScreen:
     def test_screened_path_rejects_a_foreign_or_uncertified_basis(self):
         def screened(g):
             gens = jacobian_ideal_boundary(g)
-            return gens, standard_basis(gens, degree_cap=9)
+            return sb_module._inputs(gens)[0], standard_basis(gens, degree_cap=9)
 
         f = poly("x^2 + y^3")
         assert BoundarySingularity(f, _screen=screened(f)).mu_boundary == 4
@@ -441,3 +445,74 @@ class TestInheritedCap:
         assert bs.sb_ambient == staircase_quotient(bs.ambient_gens)[0]
         assert bs.sb_restriction == staircase_quotient(bs.restriction_gens)[0]
         assert len(calls) == 5
+
+
+class TestKernelElements:
+    """BoundarySingularity reads the kernel elements of its three ideals off
+    f's integer terms, with no Polynomial in between; they must be the
+    elements of the Polynomial generators, and every basis keeps the
+    elements of its own generators for membership."""
+
+    @staticmethod
+    def _germs():
+        # rational coefficients as in the checked-product test above, over
+        # contexts of 1 to 3 variables with the boundary first or not; every
+        # fifth germ is shifted by x, so that its restriction is zero
+        rng = random.Random(53)
+        contexts = (XY, XYZ, VarContext(("u", "x", "v"), 1), VarContext(("x",), 0))
+        germs = []
+        for i in range(400):
+            ctx = contexts[i % 4]
+            b = ctx.boundary_index
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                m = tuple(rng.randint(0, 4) for _ in range(ctx.arity))
+                if i % 5 == 0:
+                    m = m[:b] + (m[b] + 1,) + m[b + 1:]
+                if any(m):
+                    terms[m] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if (f := Polynomial(ctx, terms)):
+                germs.append(f)
+        return germs
+
+    def test_elements_are_those_of_the_generators(self):
+        kinds = Counter()
+        for f in self._germs():
+            restriction = restrict_to_boundary(f)
+            ideals = zip(_ideal_elems(f), (jacobian_ideal_boundary(f), jacobian_ideal(f),
+                                           jacobian_ideal(restriction)))
+            for elems, gens in ideals:
+                want = sb_module._inputs(gens)[0]
+                assert [(e.terms, e.lm, e.lc, e.ecart) for e in elems] == [
+                    (e.terms, e.lm, e.lc, e.ecart) for e in want], str(f)
+            kinds[f"arity {f.context.arity}"] += 1
+            kinds["rational"] += any(c.denominator > 1 for c in f.terms.values())
+            kinds["zero restriction"] += restriction.is_zero() and f.context.arity > 1
+        assert min(kinds["arity 1"], kinds["arity 2"], kinds["arity 3"]) >= 90, kinds
+        assert kinds["rational"] >= 200 and kinds["zero restriction"] >= 60, kinds
+
+    def test_kept_elements_are_those_of_the_generators(self):
+        # the germs above whose boundary ideal the cap-9 screen certifies
+        # (so all three builds are bounded), the capped sweep, the corpus's
+        # screened germs, and tracked bases, whose kept elements carry
+        # representations
+        screens = [(f, sb_module._staircase(f.context, _ideal_elems(f)[0], 9)[0])
+                   for f in self._germs()]
+        germs = [f for f, sb in screens if sb is not None and sb.degree_cap < 9]
+        built = [BoundarySingularity(f) for f in germs + capped_sweep()]
+        built += boundary_corpus(seed=77, count=12)
+        bases = [sb for bs in built for sb in (bs.sb_boundary, bs.sb_ambient, bs.sb_restriction)]
+        bases += [standard_basis([poly(g) for g in gens], track_representations=True)
+                  for gens in (["x^2 + y^3", "x*y"], ["x^3 - y^2", "x^2*y", "y^4"])]
+        kinds = Counter()
+        for sb in bases:
+            if sb is None:
+                kinds["no basis"] += 1
+                continue
+            assert [e.terms for e in sb._elems] == [
+                e.terms for e in sb_module._inputs(sb.generators)[0]], sb
+            kinds["unit" if sb.degree_cap == 0 else "tracked" if sb.representations
+                  else f"arity {sb.generators[0].context.arity}"] += 1
+        assert len(built) >= 200 and kinds["unit"] >= 100 and kinds["tracked"] == 2, kinds
+        assert min(kinds["arity 1"], kinds["arity 2"], kinds["no basis"]) >= 90, kinds
+        assert kinds["arity 3"] >= 10, kinds

@@ -278,27 +278,29 @@ class TestStaircaseQuotient:
                 assert any(monomial_divides(lm, m) for lm in sb.leading_monomials), m
 
     def test_one_standard_basis_call_per_ideal(self, monkeypatch):
-        # at most one standard_basis call per ideal, with no cap given: it
+        # at most one standard-basis build per ideal, with no cap given: it
         # records the highest corner when there is one, and None when there
-        # is none; an ideal with an axis free of pure powers needs no call
+        # is none; an ideal with an axis free of pure powers needs no build.
+        # Every build goes through _basis, which is counted here
         calls = []
-        real = sb_module.standard_basis
+        real = sb_module._basis
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("degree_cap"))
-            return real(*args, **kwargs)
+        def counting(ctx, elems, scales, track, degree_cap):
+            calls.append(degree_cap)
+            return real(ctx, elems, scales, track, degree_cap)
 
-        monkeypatch.setattr(sb_module, "standard_basis", counting)
+        monkeypatch.setattr(sb_module, "_basis", counting)
         sb, alg = staircase_quotient(jacobian_ideal_boundary(poly("x^4+y^5+z^6", XYZ)))
         assert calls == [None]
         assert sb.degree_cap == 11 and alg.dimension == 80
         calls.clear()
         # the two plane boundary ideals took 1.7 s and 0.9 s as runs of
-        # standard_basis, and on ROADMAP item 5's 3-variable ideal every
-        # run drops terms and finds no corner, for minutes
-        item5 = ["4*y^2*z + 3*x^3*y*z^2", "-x*z^3 + 2*x^2*y^2*z^2 + 3*x*y^3*z^2",
-                 "-x^3*y^2*z - x^3*z^3 + 3*x*y^3*z^2"]
-        axis_free = [[poly("x^2")], [poly(g, XYZ) for g in item5]]
+        # standard_basis, and on this 3-variable ideal (ROADMAP item 3's
+        # unbounded work, and item 4's first Budget case) every run drops
+        # terms and finds no corner, for minutes
+        unbounded = ["4*y^2*z + 3*x^3*y*z^2", "-x*z^3 + 2*x^2*y^2*z^2 + 3*x*y^3*z^2",
+                     "-x^3*y^2*z - x^3*z^3 + 3*x*y^3*z^2"]
+        axis_free = [[poly("x^2")], [poly(g, XYZ) for g in unbounded]]
         axis_free += [jacobian_ideal_boundary(poly(f)) for f in (
             "x + x^2*y + 3*x*y^3 + x^5*y - 3*x^4*y^2 - 2*x*y^5",
             "x^2*y + 3*x^5 - x*y^4 + 2*x^4*y^2 - 2*x^2*y^4")]
@@ -315,7 +317,9 @@ class TestStaircaseQuotient:
         # below that degree.  Uncapped Mora division on the first ideal (the
         # boundary Jacobian ideal of a germ of boundary_corpus(seed=24))
         # runs for minutes; the last two ideals drop nothing and are exact,
-        # and an exact run is final even with its corner at the limit.
+        # and an exact run is final even with its corner at the limit.  The
+        # ladder starts above the largest axis order of the generators: the
+        # second ideal has x^9 and y^8 on the axes, so it skips 6 and 9.
         limits = []
         real = sb_module._complete
 
@@ -326,7 +330,7 @@ class TestStaircaseQuotient:
         monkeypatch.setattr(sb_module, "_complete", recording)
         cases = [
             (poly("x*z + y^3*z + y^2*z^2 + x^3*y*z + z^5 - y^6", XYZ), [6, 9], 8, 15),
-            (poly("x^4*y^4 + x^9 + y^9"), [6, 9, 13, 19], 15, 63),
+            (poly("x^4*y^4 + x^9 + y^9"), [13, 19], 15, 63),
             (poly("x^4 + y^4"), [6], 6, 12),
             (poly("x^4*y^4"), [6], None, INFINITE),
         ]
@@ -347,7 +351,7 @@ class TestStaircaseQuotient:
         assert standard_basis(gens) == real(XY, *sb_module._inputs(gens), False, 9, True)
 
     def test_generators_are_converted_once_per_call(self, monkeypatch):
-        # the four runs of the rising truncation degree share one conversion
+        # the two runs of the rising truncation degree share one conversion
         # of the generators to kernel elements
         runs, conversions = [], []
         real_complete, real_inputs = sb_module._complete, sb_module._inputs
@@ -364,17 +368,19 @@ class TestStaircaseQuotient:
         monkeypatch.setattr(sb_module, "_inputs", counting_inputs)
         gens = jacobian_ideal_boundary(poly("x^4*y^4 + x^9 + y^9"))
         sb = standard_basis(gens)
-        assert (len(runs), len(conversions)) == (4, 1)
-        # the elements the three earlier runs used give the basis of fresh ones
+        assert (len(runs), len(conversions)) == (2, 1)
+        # the elements the earlier run used give the basis of fresh ones
         assert sb == real_complete(XY, *real_inputs(gens), False, 19, True)
         assert sb.degree_cap == 15 and quotient_basis(sb).dimension == 63
 
     def test_runs_to_build_the_normal_forms(self, monkeypatch):
         # a deterministic counter: completion runs behind the 60 bases of the
         # 20 normal forms with k <= 7 (67 before an exact provisional run
-        # was final)
+        # was final, 62 before the ladder started above the axis orders:
+        # C_7's boundary ideal has y^6 on an axis, so it skips degree 6).
+        # Builds are counted at _basis, which every basis goes through
         calls, runs = [], []
-        real_sb, real_complete = sb_module.standard_basis, sb_module._complete
+        real_sb, real_complete = sb_module._basis, sb_module._complete
 
         def counting_sb(*args, **kwargs):
             calls.append(1)
@@ -384,12 +390,12 @@ class TestStaircaseQuotient:
             runs.append(1)
             return real_complete(*args, **kwargs)
 
-        monkeypatch.setattr(sb_module, "standard_basis", counting_sb)
+        monkeypatch.setattr(sb_module, "_basis", counting_sb)
         monkeypatch.setattr(sb_module, "_complete", counting_complete)
         for name, family in NORMAL_FORMS.items():
             for k in family.k_values(7):
                 BoundarySingularity(family_normal_form(name, k))
-        assert (len(calls), len(runs)) == (60, 62)
+        assert (len(calls), len(runs)) == (60, 61)
 
     def test_uncertified_cap_describes_ideal_plus_cap_power(self):
         # modulo m^4 the ideal (x^4, y^4, z^5) is all of m^4 although no
