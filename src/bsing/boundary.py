@@ -99,13 +99,15 @@ def _ideal_elems(f: Polynomial) -> tuple[list[_Elem], list[_Elem], list[_Elem]]:
 
 class BoundarySingularity:
     """A germ f with a marked boundary hyperplane, with its standard bases
-    and local algebras computed eagerly.
+    and local algebras computed at construction.  What the Milnor numbers
+    do not need is built on first access: the ``Polynomial`` generators of
+    each basis, the staircase monomials of each algebra, and the Jacobian
+    generators (``boundary_gens``, ``ambient_gens``, ``restriction``,
+    ``restriction_gens``).
 
-    Immutable after construction, apart from the public generators
-    (``boundary_gens``, ``ambient_gens``, ``restriction``,
-    ``restriction_gens``), built on first access, and the cache of graded
-    engines that the quasihomogeneous computations fill per weight vector;
-    rejects non-isolated input (infinite boundary Milnor number) unless
+    Immutable after construction, apart from those views and the cache of
+    graded engines that the quasihomogeneous computations fill per weight
+    vector; rejects non-isolated input (infinite boundary Milnor number) unless
     ``allow_non_isolated`` is set.  The kernel elements of each ideal are
     read off f's integer terms (:func:`_ideal_elems`) and go through the
     rules of :func:`bsing.standard_basis.staircase_quotient`, so its ``sb_*``

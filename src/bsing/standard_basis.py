@@ -20,10 +20,11 @@ and ecart cached.  :func:`_inputs` clears ``Polynomial`` generators to
 elements once; :class:`bsing.boundary.BoundarySingularity` reads the
 elements of its Jacobian ideals off the germ's integer terms instead.
 Every basis is built by :func:`_basis` and keeps the elements of its
-generators for :meth:`StandardBasis.contains`.  A step replaces h by
-(lc_g/d)*h - (lc_h/d)*x^q*g, d = gcd(lc_h, lc_g), truncates and divides
-out the content, so a value is known up to a rational multiple, which
-a basis or a membership test allows.  Tracked, an element carries the
+generators for :meth:`StandardBasis.contains`; it turns them into
+``Polynomial`` generators only when ``generators`` is first read.  A step
+replaces h by (lc_g/d)*h - (lc_h/d)*x^q*g, d = gcd(lc_h, lc_g), truncates
+and divides out the content, so a value is known up to a rational
+multiple, which a basis or a membership test allows.  Tracked, an element carries the
 rational lam of its exact value lam*terms and integer representations
 rep, den*terms == sum(rep[t]*s_t*input_t) with s_t clearing input t's
 denominators; (lam*s_t/den)*rep[t] is divided out once, at the end.
@@ -33,7 +34,9 @@ section 1.7), the least D with m^D in the ideal: 1 + the top degree of the
 staircase of the leading monomials (below the truncation degree once a
 term was dropped), which :func:`_runs` walks.  The walk runs only once
 every variable has a pure-power leading monomial below that degree, and
-the basis keeps the last walk's runs for :func:`quotient_basis`.
+the basis keeps the last walk's runs for :func:`quotient_basis`, whose
+dimension is their total length; the staircase monomials are listed only
+when ``basis_monomials`` is first read.
 
 :func:`jet_dimension_oracle` cross-checks quotient dimensions by linear
 algebra on jets, with no standard basis.  No package code calls it; it
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 from operator import add, le, sub
@@ -200,8 +203,38 @@ def _push(basis: list[_Elem], lms: list[Monomial], e: _Elem) -> None:
     lms.append(e.lm[:0:-1])
 
 
-@dataclass(frozen=True)
-class StandardBasis:
+class _Record:
+    """The frozen-dataclass behaviour of an output record: ==, hash and
+    repr on the public ``_fields`` in order, and no assignment or deletion
+    (:class:`dataclasses.FrozenInstanceError`).  Construction fills the
+    instance dict directly, so a field may instead be a ``cached_property``,
+    built on its first read."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class StandardBasis(_Record):
     """Standard basis of a local ideal with its leading-term staircase.
 
     ``representations``, when tracked, expresses each basis element in the
@@ -217,46 +250,62 @@ class StandardBasis:
     ``_walk`` holds the runs of :func:`_runs` when the completion already
     walked this staircase, so :func:`quotient_basis` need not walk again.
     ``_elems`` holds the kernel elements of ``generators``, in their order,
-    for :meth:`contains`: the completion hands over the ones it kept, and a
-    basis built by hand converts its generators once.
+    for :meth:`contains`.  A basis built by hand converts its generators
+    once, and they must share one context (``ValueError``).  A basis of the
+    completion (:meth:`_kept`) holds the elements it kept with their
+    scales, and builds the ``Polynomial`` generators only when they are
+    first read.
     """
 
-    generators: tuple[Polynomial, ...]
-    leading_monomials: tuple[Monomial, ...]
-    representations: tuple[tuple[Polynomial, ...], ...] | None = None
-    degree_cap: int | None = None
-    _walk: list[tuple[Monomial, int]] | None = field(default=None, repr=False, compare=False)
-    _elems: list[_Elem] | None = field(default=None, repr=False, compare=False)
+    _fields = ("generators", "leading_monomials", "representations", "degree_cap")
 
-    def __post_init__(self):
-        if self._elems is None:
-            object.__setattr__(self, "_elems", _inputs(self.generators)[0])
+    def __init__(
+        self,
+        generators: tuple[Polynomial, ...],
+        leading_monomials: tuple[Monomial, ...],
+        representations: tuple[tuple[Polynomial, ...], ...] | None = None,
+        degree_cap: int | None = None,
+        _walk: list[tuple[Monomial, int]] | None = None,
+        _elems: list[_Elem] | None = None,
+    ):
+        vars(self).update(
+            generators=generators, leading_monomials=leading_monomials,
+            representations=representations, degree_cap=degree_cap, _walk=_walk,
+            _elems=_inputs(generators)[0] if _elems is None else _elems,
+            _ctx=_context(generators) if generators else None)
+
+    @classmethod
+    def _kept(cls, ctx: VarContext, kept: list[_Elem], lms: tuple[Monomial, ...],
+              reps, degree_cap: int | None, walk) -> StandardBasis:
+        """The basis of the completion's ``kept`` elements, with the values
+        lam*terms they have now: later runs may set ``lam`` on elements
+        they share, so the scales are read here and not when the
+        generators are built."""
+        sb = object.__new__(cls)
+        vars(sb).update(leading_monomials=lms, representations=reps, degree_cap=degree_cap,
+                        _walk=walk, _elems=kept, _ctx=ctx,
+                        _scaled=[(e.terms, e.lam) for e in kept])
+        return sb
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        return tuple(_polynomial(self._ctx, terms, lam) for terms, lam in self._scaled)
 
     @cached_property
     def _algebra(self) -> LocalAlgebra:
-        """:func:`quotient_basis`.  A run holds at most one monomial per
-        degree and prefixes come in lexicographic order, so each degree's
-        monomials, reversed, are in ``monomial_key`` order."""
+        """:func:`quotient_basis`."""
         runs = self._walk
         if runs is None:
             runs = _runs(self.leading_monomials, self.degree_cap)
-        if runs is None:
-            return LocalAlgebra((), INFINITE)
-        buckets: list[list[Monomial]] = [
-            [] for _ in range(max((sum(p) + top for p, top in runs), default=0))]
-        for prefix, top in runs:
-            d = sum(prefix)
-            for e in range(top):
-                buckets[d + e].append(prefix + (e,))
-        basis = tuple(m for bucket in buckets for m in reversed(bucket))
-        return LocalAlgebra(basis, len(basis))
+        return LocalAlgebra((), INFINITE) if runs is None else LocalAlgebra._of_runs(runs)
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of ``p`` in the ideal.  With ``degree_cap`` set, p is
         first truncated below it (p minus its truncation lies in
         m^degree_cap, inside the ideal) and divided modulo m^degree_cap."""
-        if self.generators:
-            _context([p, *self.generators])
+        ctx = self._ctx
+        if ctx is not None and p.context is not ctx and p.context != ctx:
+            raise ValueError("polynomials from different contexts")
         bound = math.inf if self.degree_cap is None else self.degree_cap
         h = _inputs([p])[0][0]
         if h.terms and h.lm[0] + h.ecart >= bound:
@@ -347,8 +396,8 @@ def _complete(
             return None
         e.lam = Fraction(1, e.lc)
         reps = (_representation(ctx, e, scales),) if track else None
-        return StandardBasis((Polynomial.constant(ctx, 1),), ((0,) * ctx.arity,), reps, 0,
-                             None, [_Elem({(0,) * (ctx.arity + 1): 1})])
+        return StandardBasis._kept(ctx, [_Elem({(0,) * (ctx.arity + 1): 1})],
+                                   ((0,) * ctx.arity,), reps, 0, None)
 
     basis: list[_Elem] = []
     lms: list[Monomial] = []
@@ -433,13 +482,12 @@ def _complete(
         key=lambda i: monomial_key(lms[i]),
     )
     kept = [basis[i] for i in keep]
-    gens = tuple(_polynomial(ctx, e.terms, e.lam) for e in kept)
     reps = tuple(_representation(ctx, e, scales) for e in kept) if track else None
     # a walk after the last push is below the final cap: a lowered cap is
     # its corner, and an unchanged bound is the cap, or the limit of a run
     # that had already dropped a term
-    return StandardBasis(gens, tuple(lms[i] for i in keep), reps,
-                         cap if cap is not None or exact else limit, walk, kept)
+    return StandardBasis._kept(ctx, kept, tuple(lms[i] for i in keep), reps,
+                               cap if cap is not None or exact else limit, walk)
 
 
 def _axis_orders(supports: Iterable[Iterable[Monomial]], arity: int) -> list[int] | None:
@@ -505,12 +553,37 @@ def _staircase(
     return sb, quotient_basis(sb)
 
 
-@dataclass(frozen=True)
-class LocalAlgebra:
-    """Monomial basis (staircase complement) of a local quotient ring."""
+class LocalAlgebra(_Record):
+    """Monomial basis (staircase complement) of a local quotient ring;
+    ``dimension`` is math.inf for a non-isolated (infinite) quotient.  An
+    algebra of :func:`quotient_basis` lists ``basis_monomials`` only when
+    they are first read."""
 
-    basis_monomials: tuple[Monomial, ...]
-    dimension: int | float  # math.inf marks a non-isolated (infinite) quotient
+    _fields = ("basis_monomials", "dimension")
+
+    def __init__(self, basis_monomials: tuple[Monomial, ...], dimension: int | float):
+        vars(self).update(basis_monomials=basis_monomials, dimension=dimension)
+
+    @classmethod
+    def _of_runs(cls, runs: list[tuple[Monomial, int]]) -> LocalAlgebra:
+        """The algebra of the :func:`_runs` ``runs``: its dimension is the
+        sum of their lengths, and its monomials are listed when first read."""
+        alg = object.__new__(cls)
+        vars(alg).update(dimension=sum(top for _, top in runs), _runs=runs)
+        return alg
+
+    @cached_property
+    def basis_monomials(self) -> tuple[Monomial, ...]:
+        """A run holds at most one monomial per degree and prefixes come in
+        lexicographic order, so each degree's monomials, reversed, are in
+        ``monomial_key`` order."""
+        buckets: list[list[Monomial]] = [
+            [] for _ in range(max((sum(p) + top for p, top in self._runs), default=0))]
+        for prefix, top in self._runs:
+            d = sum(prefix)
+            for e in range(top):
+                buckets[d + e].append(prefix + (e,))
+        return tuple(m for bucket in buckets for m in reversed(bucket))
 
     @property
     def is_finite(self) -> bool:
@@ -588,10 +661,12 @@ def quotient_basis(sb: StandardBasis) -> LocalAlgebra:
 
     The standard monomials, sorted by :func:`bsing.polyring.monomial_key`,
     come from the runs of :func:`_runs`, whose work is proportional to
-    their number.  The complement is finite iff every variable has a pure
-    power among the leading monomials.  With ``sb.degree_cap`` D every
-    monomial of degree >= D counts as leading (the ideal contains m^D), so
-    the complement is always finite.  It is computed once per basis.
+    their number.  The dimension is the runs' total length; the monomials
+    are listed when ``basis_monomials`` is first read.  The complement is
+    finite iff every variable has a pure power among the leading
+    monomials.  With ``sb.degree_cap`` D every monomial of degree >= D
+    counts as leading (the ideal contains m^D), so the complement is
+    always finite.  It is computed once per basis.
     """
     return sb._algebra
 

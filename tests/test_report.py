@@ -1,8 +1,15 @@
+import json
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from bsing import cli
 from bsing.corpus import family_normal_form
 from bsing.polyring import VarContext, parse_polynomial
-from bsing.report import classify_normal_form
+from bsing.report import classify_normal_form, dumps_schema1
+from test_cli import PINNED_ARGVS
 
 XY = VarContext(("x", "y"), 0)
 YX = VarContext(("x", "y"), 1)  # boundary {y = 0}
@@ -58,3 +65,84 @@ class TestFamilyNormalForm:
     def test_unknown_family(self, family):
         with pytest.raises(ValueError, match="unknown family"):
             family_normal_form(family, 3)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# characters json escapes in several ways (short escapes, \u00XX, \uXXXX
+# and surrogate pairs) and ones it writes as they are
+_CHARS = 'aZ09 /"\\\b\f\n\r\t\x00\x1f\x7f\xe9\xdf\u20ac\u2028\U0001f600'
+
+
+def _random_value(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice((0, -1, 7, 2**64, -(3**90), rng.randint(-10**6, 10**6)))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.choice((0.0, -0.0, 0.1, -2.5, 1e300, 5e-324, math.inf, -math.inf, math.nan,
+                           rng.uniform(-1e6, 1e6)))
+    if kind == 4:
+        return rng.choice(([], (), {}, ""))
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {"".join(rng.choice(_CHARS) for _ in range(rng.randrange(4))): v for v in items}
+
+
+class TestSchema1Emitter:
+    # dumps_schema1 writes the bytes of json.dumps(indent=2, sort_keys=True)
+    # without json's pure-Python encoder
+    def test_every_pinned_json_payload_matches_json(self, monkeypatch, capsys):
+        payloads = []
+
+        def recording(obj):
+            payloads.append(obj)
+            return dumps_schema1(obj)
+
+        monkeypatch.setattr(cli, "dumps_schema1", recording)
+        for argv in PINNED_ARGVS:
+            if "--json" in argv:
+                cli.main(argv)
+        capsys.readouterr()
+        assert len(payloads) == 15
+        for obj in payloads:
+            assert dumps_schema1(obj) == _json_dumps(obj)
+
+    def test_seeded_values_match_json(self):
+        rng = random.Random(5)
+        seen = {"empty dict": 0, "empty list": 0, "nested": 0, "quote": 0, "control": 0,
+                "non-ascii": 0}
+        for _ in range(3000):
+            value = _random_value(rng, 0)
+            text = dumps_schema1(value)
+            assert text == _json_dumps(value), repr(value)
+            seen["empty dict"] += "{}" in text
+            seen["empty list"] += "[]" in text
+            seen["nested"] += "\n      " in text
+            seen["quote"] += '\\"' in text
+            seen["control"] += "\\u0000" in text or "\\u001f" in text
+            seen["non-ascii"] += "\\ud83d\\ude00" in text or "\\u20ac" in text
+        assert min(seen.values()) >= 100, seen
+
+    def test_type_error_where_json_raises_and_for_non_str_keys(self):
+        for value in (set(), b"x", Fraction(1, 2), 1j, object(), {"a": [frozenset()]},
+                      [{"b": ({("t",): 1},)}]):
+            with pytest.raises(TypeError):
+                _json_dumps(value)
+            with pytest.raises(TypeError):
+                dumps_schema1(value)
+        # json turns these keys into strings; schema 1 has none
+        for key in (1, 2.5, True, None):
+            assert _json_dumps({key: 1})
+            with pytest.raises(TypeError, match="keys must be str"):
+                dumps_schema1({key: 1})
+            with pytest.raises(TypeError, match="keys must be str"):
+                dumps_schema1([{"a": {key: 1}}])

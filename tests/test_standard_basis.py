@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -477,6 +478,10 @@ class TestMixedContexts:
         assert sb.contains(poly("x^2"))
         with pytest.raises(ValueError, match="different contexts"):
             sb.contains(poly("x^2", YX))
+        # a basis built by hand has one context too
+        assert StandardBasis((poly("x"),), ((1, 0),)).contains(poly("x*y"))
+        with pytest.raises(ValueError, match="different contexts"):
+            StandardBasis((poly("x"), poly("y", YX)), ((1, 0), (1, 0)))
 
     def test_jet_dimension_oracle(self):
         # read over one context, x^2 and x^3 over (y, x) = y^3 would give 6
@@ -762,3 +767,135 @@ class TestKernelInvariant:
                 _check_pushed(e, gens, tracked)
             checked[tracked] += len(pushed)
         assert min(checked.values()) >= 100, checked
+
+
+class TestLazyViews:
+    # a basis of the completion builds its Polynomial generators, and the
+    # algebra of quotient_basis lists its staircase monomials, only when
+    # they are first read: the Milnor numbers need only the dimensions
+    @staticmethod
+    def _sweep():
+        """The corpus's screened germs and the capped sweep (random 2- and
+        3-variable germs and perturbed Brieskorn-Pham germs), each with
+        membership tests of its own Jacobian generators, which must all
+        hold, and of m^cap on its capped bases."""
+        built = boundary_corpus(seed=77, count=12)
+        built += [BoundarySingularity(f) for f in capped_sweep()]
+        tests = 0
+        for bs in built:
+            milnor_numbers(bs)
+            ideals = ((bs.sb_boundary, bs.boundary_gens), (bs.sb_ambient, bs.ambient_gens),
+                      (bs.sb_restriction, bs.restriction_gens))
+            for sb, gens in ideals:
+                if sb is None:
+                    continue
+                assert all(sb.contains(g) for g in gens), bs
+                tests += len(gens)
+                if sb.degree_cap:
+                    ctx = gens[0].context
+                    corner = (sb.degree_cap,) + (0,) * (ctx.arity - 1)
+                    assert sb.contains(Polynomial.monomial(ctx, corner, 1)), bs
+                    tests += 1
+        assert len(built) >= 60 and tests >= 300, (len(built), tests)
+        return built
+
+    def test_building_and_membership_list_nothing(self, monkeypatch):
+        polynomials, listings = [], []
+        real_polynomial = sb_module._polynomial
+        listing = LocalAlgebra.__dict__["basis_monomials"]
+        real_listing = listing.func
+
+        def counting_polynomial(*args):
+            polynomials.append(1)
+            return real_polynomial(*args)
+
+        def counting_listing(alg):
+            listings.append(1)
+            return real_listing(alg)
+
+        monkeypatch.setattr(sb_module, "_polynomial", counting_polynomial)
+        monkeypatch.setattr(listing, "func", counting_listing)
+        built = self._sweep()
+        assert (len(polynomials), len(listings)) == (0, 0)
+        # the counters see the views once they are read, once each
+        sb = built[0].sb_boundary
+        assert sb.generators is sb.generators and len(polynomials) == len(sb.generators)
+        alg = built[0].algebra_boundary
+        assert len(alg.basis_monomials) == alg.dimension and listings == [1]
+        alg.basis_monomials
+        assert listings == [1]
+
+    def test_generators_read_late_equal_generators_read_at_once(self, monkeypatch):
+        # the scales of the kept elements are taken when the completion
+        # ends: later runs share input elements and set their scales (J_f
+        # takes the df/dy_i of J_{f,H}); here each basis's own elements go
+        # through one more run before its generators are read
+        bases = [[bs.sb_boundary, bs.sb_ambient, bs.sb_restriction] for bs in self._sweep()]
+        for sb in itertools.chain(*bases):
+            if sb is not None:
+                sb_module._basis(sb._ctx, list(sb._elems), [], False, sb.degree_cap)
+        late = [[None if sb is None else sb.generators for sb in germ] for germ in bases]
+        real = StandardBasis._kept.__func__
+
+        def reading(cls, *args):
+            sb = real(cls, *args)
+            sb.generators
+            return sb
+
+        monkeypatch.setattr(StandardBasis, "_kept", classmethod(reading))
+        early = [[None if sb is None else sb.generators
+                  for sb in (bs.sb_boundary, bs.sb_ambient, bs.sb_restriction)]
+                 for bs in self._sweep()]
+        assert late == early
+        contents = {math.gcd(*(c.numerator for c in g.terms.values()))
+                    for gens in late for basis in gens if basis for g in basis}
+        assert contents - {1}, "no truncated generator kept its scale"
+
+    def test_kernel_bases_equal_hand_built_copies(self):
+        # ==, hash and repr are those of the frozen dataclasses the records
+        # were: read first on the kernel's lazy records, then compared
+        def frozen(name, fields):
+            return dataclasses.make_dataclass(name, fields, frozen=True)
+
+        RefBasis = frozen("StandardBasis", ["generators", "leading_monomials",
+                                            ("representations", object, None),
+                                            ("degree_cap", object, None)])
+        RefAlgebra = frozen("LocalAlgebra", ["basis_monomials", "dimension"])
+        bases = [standard_basis(gens, degree_cap=cap)
+                 for gens in _seeded_ideals() for cap in (9, None)]
+        bases += [standard_basis(gens, track_representations=True)
+                  for gens in _tracking_ideals()[:10]]
+        kinds = {"unit": 0, "tracked": 0, "infinite": 0, "finite": 0}
+        for sb in bases:
+            alg = quotient_basis(sb)
+            values = (hash(sb), repr(sb), hash(alg), repr(alg))
+            fields = (sb.generators, sb.leading_monomials, sb.representations, sb.degree_cap)
+            hand, ref = StandardBasis(*fields), RefBasis(*fields)
+            assert hand == sb and sb == hand and hand is not sb
+            assert values[:2] == (hash(hand), repr(hand)) == (hash(ref), repr(ref))
+            hand_alg = LocalAlgebra(alg.basis_monomials, alg.dimension)
+            ref_alg = RefAlgebra(alg.basis_monomials, alg.dimension)
+            assert hand_alg == alg and alg == hand_alg and quotient_basis(hand) == alg
+            assert values[2:] == (hash(hand_alg), repr(hand_alg)) == (hash(ref_alg), repr(ref_alg))
+            assert sb != alg and alg != sb and sb != fields
+            kinds["unit" if sb.degree_cap == 0 else "tracked" if sb.representations
+                  else "finite" if alg.is_finite else "infinite"] += 1
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_assignment_raises_frozen_instance_error(self):
+        sb = standard_basis([poly("x^2"), poly("y^3")])
+        alg = quotient_basis(sb)
+        records = [(sb, name) for name in ("generators", "leading_monomials", "representations",
+                                           "degree_cap", "_elems", "other")]
+        records += [(alg, "basis_monomials"), (alg, "dimension"),
+                    (StandardBasis((poly("x"),), ((1, 0),)), "generators"),
+                    (LocalAlgebra(((0, 0),), 1), "dimension")]
+        frozen = dataclasses.FrozenInstanceError
+        for record, name in records:
+            with pytest.raises(frozen, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(frozen, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        # the views, not read before, are intact
+        assert sb.generators == (poly("x^2"), poly("y^3")) and sb.degree_cap == 4
+        assert alg.dimension == 6 and len(alg.basis_monomials) == 6
