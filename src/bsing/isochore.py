@@ -14,8 +14,8 @@ recomputes the residual from scratch.
 Second, infinitesimal isochore versality of a deformation F of a
 quasihomogeneous boundary singularity: the constant 1 together with the
 parameter velocities dF/d(lambda_i) at lambda = 0 must span the quotient
-Q = O/J_{f,H}.  The check reduces the velocities to exact staircase
-coordinates and row-reduces over the rationals.
+Q = O/J_{f,H}.  The check reduces them on the graded engine to integer
+staircase rows, one per candidate, and row-reduces those fraction-free.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .polyring import (
     series_rational_power,
 )
 from .quasihomog import _engine, detect_weights
-from .standard_basis import _cleared, _echelon
+from .standard_basis import _echelon
 
 
 def isochore_psi(c: PowerSeries1, n: int) -> tuple[PowerSeries1, PowerSeries1]:
@@ -64,15 +64,18 @@ def verify_ode_residual(c: PowerSeries1, w: PowerSeries1, n: int) -> bool:
     return (lhs - c).is_zero()
 
 
-def _at_zero(p: Polynomial, params: Sequence[str], ctx: VarContext) -> Polynomial:
-    """p with every parameter set to zero, over the germ context ``ctx``:
-    the terms free of parameters, projected onto the other variables."""
-    drop = {p.context.index(q) for q in params}
-    keep = [i for i in range(p.context.arity) if i not in drop]
-    return Polynomial(ctx, {
-        tuple(m[i] for i in keep): c
-        for m, c in p.terms.items() if not any(m[i] for i in drop)
-    })
+def _coefficients(p: Polynomial, params: Sequence[str], ctx: VarContext) -> list[Polynomial]:
+    """[p at lambda = 0, dp/d(lambda_1) at 0, ...] over the germ context
+    ``ctx``, in one pass over p's terms: a term c*x^m whose lambda-part is 1
+    or exactly lambda_i adds c*x^m to the first or to the (i+1)-th."""
+    lam = [p.context.index(q) for q in params]
+    keep = [i for i in range(p.context.arity) if i not in lam]
+    out: list[dict[Monomial, Fraction]] = [{} for _ in range(len(lam) + 1)]
+    for m, c in p._terms.items():
+        e = [m[i] for i in lam]
+        if (s := sum(e)) <= 1:
+            out[s and 1 + e.index(1)][tuple([m[i] for i in keep])] = c
+    return [Polynomial._trusted(ctx, t) for t in out]
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ class Deformation:
             raise ValueError("parameters must be distinct")
         if any(p not in names for p in self.parameters):
             raise ValueError("parameters must belong to the family context")
-        if _at_zero(self.F, self.parameters, self.base.ctx) != self.base.f:
+        if _coefficients(self.F, self.parameters, self.base.ctx)[0] != self.base.f:
             raise ValueError("family does not restrict to the base germ")
 
     @classmethod
@@ -115,18 +118,14 @@ class Deformation:
         boundary = var_names.index(ctx.names[ctx.boundary_index])
         base_ctx = VarContext(var_names, boundary)
         base = BoundarySingularity(
-            _at_zero(F, params, base_ctx), allow_non_isolated=allow_non_isolated
+            _coefficients(F, params, base_ctx)[0], allow_non_isolated=allow_non_isolated
         )
         return cls(F, params, base)
 
     def velocities(self) -> list[Polynomial]:
         """dF/d(lambda_i) at lambda = 0, one polynomial over the germ
-        variables per parameter."""
-        ctx = self.F.context
-        return [
-            _at_zero(self.F.partial_derivative(ctx.index(p)), self.parameters, self.base.ctx)
-            for p in self.parameters
-        ]
+        variables per parameter: the coefficient of lambda_i^1 in F."""
+        return _coefficients(self.F, self.parameters, self.base.ctx)[1:]
 
 
 @dataclass(frozen=True)
@@ -148,18 +147,16 @@ def versality_check(
     """
     w = weights if weights is not None else detect_weights(d.base.f)
     st = _engine(d.base, w)
-    candidates = [Polynomial.constant(d.base.ctx, 1)] + d.velocities()
-    coords = [st.coordinates(g) for g in candidates]
     columns = sorted((e.monomial for e in st.spectrum().entries), key=monomial_key)
     col_index = {m: i for i, m in enumerate(columns)}
-    rows = [_cleared({col_index[m]: c for m, c in cs.items()})[0] for cs in coords if cs]
+    candidates = [{(0,) * d.base.ctx.arity: 1}] + [v._terms for v in d.velocities()]
+    # a candidate's row is its residue times a positive integer
+    rows = [{col_index[m]: c for m, c in st.residue(g)[0].items()} for g in candidates]
 
     # pivot columns are the covered directions
     pivots = _echelon(rows)
-    spanned = len(pivots)
-    missing = tuple(m for m in columns if col_index[m] not in pivots)
     return VersalityReport(
-        versal=spanned == len(columns),
-        spanned_dimension=spanned,
-        missing_directions=missing,
+        versal=len(pivots) == len(columns),
+        spanned_dimension=len(pivots),
+        missing_directions=tuple(m for m in columns if col_index[m] not in pivots),
     )

@@ -33,9 +33,11 @@ eigenvalue relation and confluence checks in the test suite.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .boundary import BoundarySingularity, NonIsolatedError, jacobian_ideal
@@ -393,7 +395,7 @@ class _GradedIdeal:
         self._echelons: dict[tuple[int, tuple[int, ...]], _Echelon] = {}
 
     def degree(self, m: Monomial) -> int:
-        return sum(a * b for a, b in zip(self.W, m))
+        return sum(map(mul, self.W, m))
 
     def order(self, generator_order: Sequence[int] | None = None) -> tuple[int, ...]:
         n = len(self.gens)
@@ -482,50 +484,48 @@ class _GradedIdeal:
         for the nonzero integer terms of one W-degree D: rem on the staircase
         in column order and cof[j] of W-degree D - deg g_j.  den gathers the
         factors of the steps (:func:`standard_basis._eliminate`).  The sum is
-        recomposed and checked in integers.  Needs the certified staircase:
-        call :meth:`spectrum` first."""
+        recomposed and checked in integers, in the same sweep that reads rem
+        and cof off the reduced row.  Needs the certified staircase: call
+        :meth:`spectrum` first."""
         columns, index, pivot_columns, pivots, tags = self.echelon(D, order)
         n = len(columns)
         row = {index[m]: c for m, c in terms.items()}
         den = 1
-        for p in pivot_columns:
-            v = row.pop(p, None)
-            if v is None:
-                continue
-            row, a = _eliminate(row, v, pivots[p])
-            den *= a
-        rem = {columns[k]: row[k] for k in sorted(k for k in row if k < n)}
-        if any(m not in self.slot for m in rem):
-            raise CertificateError("non-staircase monomial escaped division")
+        # a step adds columns right of its pivot only: start at the row's lowest
+        for p in pivot_columns[bisect_left(pivot_columns, min(row, default=n)):]:
+            if (v := row.pop(p, None)) is not None:
+                row, a = _eliminate(row, v, pivots[p])
+                den *= a
+        # staircase columns sort first, so rem is in ``back`` before any cofactor
+        rem, back = {}, {}
         cof: list[dict[Monomial, int]] = [{} for _ in self.gens]
-        for k, v in row.items():
-            if k >= n:
-                j, q = tags[k - n]
-                cof[j][q] = -v
-        back = dict(rem)
-        for c, G in zip(cof, self.ints):
-            for q, a in c.items():
-                for m, b in G.items():
-                    qm = monomial_mul(q, m)
-                    back[qm] = back.get(qm, 0) + a * b
+        for k, v in sorted(row.items()):
+            if k < n:
+                if (m := columns[k]) not in self.slot:
+                    raise CertificateError("non-staircase monomial escaped division")
+                rem[m] = back[m] = v
+                continue
+            j, q = tags[k - n]
+            cof[j][q] = -v
+            for m, b in self.ints[j].items():
+                qm = monomial_mul(q, m)
+                back[qm] = back.get(qm, 0) - v * b
         want = terms if den == 1 else {m: den * c for m, c in terms.items()}
         if {m: v for m, v in back.items() if v} != want:
             raise CertificateError("graded decomposition lost exactness")
         return rem, cof, den
 
-    def coordinates(self, g: Polynomial) -> dict[Monomial, Fraction]:
-        """Staircase coordinates of g: its exact residue modulo J.  Parts
-        above the top degree lie in J and are skipped."""
+    def residue(self, terms: dict[Monomial, Rat]) -> tuple[dict[Monomial, int], int]:
+        """(rem, den), den > 0, with rem/den the exact staircase residue of
+        the rational ``terms`` modulo J: they are cleared to integers, each
+        part up to the top degree (the rest lies in J) is decomposed, and
+        the parts' rems are scaled to one denominator."""
         self.spectrum()
         order = self.order()
-        ints, den = _cleared(g._terms)
-        out: dict[Monomial, Fraction] = {}
-        for D, part in self.parts(ints):
-            if D > self.top:
-                break
-            rem, _, a = self.decompose(part, D, order)
-            out.update((m, Fraction(c, den * a)) for m, c in rem.items())
-        return out
+        ints, s = _cleared(terms)
+        parts = [self.decompose(part, D, order) for D, part in self.parts(ints) if D <= self.top]
+        den = math.lcm(*(a for _, _, a in parts))
+        return {m: c * (den // a) for rem, _, a in parts for m, c in rem.items()}, s * den
 
 
 def _engine(bs: BoundarySingularity, weights: Sequence[Rat]) -> _GradedIdeal:
@@ -551,7 +551,8 @@ def quotient_coordinates(
     """Coordinates of g in the staircase basis of Q = O/J_{f,H} (the exact
     residue of g modulo the boundary Jacobian ideal)."""
     _context([g, bs.f])
-    return _engine(bs, weights).coordinates(g)
+    rem, den = _engine(bs, weights).residue(g._terms)
+    return {m: Fraction(c, den) for m, c in rem.items()}
 
 
 def brieskorn_reduce(
@@ -587,9 +588,10 @@ def brieskorn_reduce(
         for D, part in st.parts(h):
             rem, cof, a = st.decompose(part, D, order)
             den_part = den * a
+            # each coordinate is set once: the parts met at one power of t have
+            # distinct degrees, as a step takes degree D to D - scale
             for m, c in rem.items():
-                slot = coords.setdefault(st.slot[m], {})
-                slot[tpow] = slot.get(tpow, 0) + Fraction(c, den_part)
+                coords.setdefault(st.slot[m], {})[tpow] = Fraction(c, den_part)
             if not any(cof):
                 continue
             if D + offset == 0:

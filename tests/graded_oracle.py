@@ -5,12 +5,15 @@ rational elimination it replaced: normalized pivot rows, a remainder and
 cofactors reduced with ``Fraction`` arithmetic, and the Brieskorn queue on
 ``Fraction`` terms.  It uses only the engine's grading (W, scale, generator
 degrees) and its certified staircase slots, and builds its own echelons.
+:func:`versality` is the Fraction path of the versality check.
 """
 
 from fractions import Fraction
 
-from bsing.polyring import Monomial, monomial_divides, monomial_mul
+from bsing.isochore import VersalityReport
+from bsing.polyring import Monomial, Polynomial, monomial_divides, monomial_key, monomial_mul
 from bsing.quasihomog import BrieskornClass, _monomials
+from bsing.standard_basis import _cleared, _echelon
 
 
 def row_echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
@@ -142,3 +145,27 @@ class GradedOracle:
                 if div:
                     queue.append((tpow + 1, div))
         return BrieskornClass(coords)
+
+
+def versality(d, engine) -> VersalityReport:
+    """Versality of the deformation ``d`` over the Fraction path: the
+    velocities as dF/dl_i with one parameter set to zero at a time, their
+    staircase coordinates over Q, the rows cleared to integers one by one
+    and row-reduced by the package's echelon."""
+    oracle, F = GradedOracle(engine), d.F
+    candidates = [Polynomial.constant(d.base.ctx, 1)]
+    for p in d.parameters:
+        v = F.partial_derivative(F.context.index(p))
+        for q in d.parameters:
+            v = v.substitute_zero(v.context.index(q))
+        candidates.append(Polynomial(d.base.ctx, v.terms))
+    columns = sorted((e.monomial for e in engine.spectrum().entries), key=monomial_key)
+    col_index = {m: i for i, m in enumerate(columns)}
+    rows = [_cleared({col_index[m]: c for m, c in oracle.coordinates(g).items()})[0]
+            for g in candidates]
+    pivots = _echelon([row for row in rows if row])
+    return VersalityReport(
+        versal=len(pivots) == len(columns),
+        spanned_dimension=len(pivots),
+        missing_directions=tuple(m for m in columns if col_index[m] not in pivots),
+    )

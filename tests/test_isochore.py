@@ -6,7 +6,7 @@ import pytest
 from bsing.boundary import BoundarySingularity
 from bsing.isochore import (
     Deformation,
-    _at_zero,
+    _coefficients,
     isochore_psi,
     verify_ode_residual,
     versality_check,
@@ -168,10 +168,11 @@ def chained_at_zero(p, params, ctx):
     return Polynomial(ctx, p.terms)
 
 
-def seeded_family(rng):
+def seeded_family(rng, rational=False):
     """(F, parameters, base context): a germ in 2 or 3 variables plus 1 to 3
     parameters, all names shuffled, with random terms that carry a
-    parameter and random terms that do not."""
+    parameter and random terms that do not.  ``rational`` draws non-integer
+    coefficients too, and adds a term in the parameters alone."""
     germ = ["x^2+y^3", "x*y+y^4", "x^3+y^2+z^2"][rng.randrange(3)]
     variables = ["x", "y", "z"][: 3 if "z" in germ else 2]
     params = [f"l{i}" for i in range(rng.randint(1, 3))]
@@ -181,7 +182,12 @@ def seeded_family(rng):
     terms = {}
     for _ in range(rng.randint(1, 6)):
         m = tuple(rng.randint(0, 2) for _ in names)
-        terms[m] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[m] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 7]) if rational else 1)
+    if rational:
+        m = [0] * len(names)
+        for _ in range(rng.randint(1, 2)):
+            m[names.index(rng.choice(params))] += 1
+        terms[tuple(m)] = F(rng.choice([-5, 1, 4]), rng.choice([1, 3]))
     F_poly = parse_polynomial(germ, ctx) + Polynomial(ctx, terms)
     base_names = tuple(n for n in names if n not in params)
     rng.shuffle(params)
@@ -193,10 +199,12 @@ class TestAtZero:
         rng = random.Random(21)
         for _ in range(200):
             F_poly, params, base_ctx = seeded_family(rng)
-            assert _at_zero(F_poly, params, base_ctx) == chained_at_zero(F_poly, params, base_ctx)
+            base = _coefficients(F_poly, params, base_ctx)[0]
+            assert base == chained_at_zero(F_poly, params, base_ctx)
             for p in params:
                 v = F_poly.partial_derivative(F_poly.context.index(p))
-                assert _at_zero(v, params, base_ctx) == chained_at_zero(v, params, base_ctx)
+                v0 = _coefficients(v, params, base_ctx)[0]
+                assert v0 == chained_at_zero(v, params, base_ctx)
 
     def test_deformations_with_parameters_anywhere(self):
         rng = random.Random(22)
@@ -215,6 +223,29 @@ class TestAtZero:
             ]
             built += 1
         assert built >= 30
+
+    def test_rational_families_with_parameter_only_terms(self):
+        # a lone l_i in the parameter-only term gives velocity i a constant;
+        # l_i^2 and l_i*l_j give no velocity
+        rng = random.Random(23)
+        built = constants = rational = 0
+        for _ in range(60):
+            F_poly, params, base_ctx = seeded_family(rng, rational=True)
+            base = chained_at_zero(F_poly, params, base_ctx)
+            if base.is_zero() or base.constant_term() != 0:
+                continue
+            d = Deformation.from_family(F_poly, params, allow_non_isolated=True)
+            assert d.base.f == base
+            index = F_poly.context.index
+            velocities = d.velocities()
+            assert velocities == [
+                chained_at_zero(F_poly.partial_derivative(index(p)), params, base_ctx)
+                for p in params
+            ]
+            built += 1
+            constants += any(v.constant_term() != 0 for v in velocities)
+            rational += any(c.denominator > 1 for v in velocities for c in v.terms.values())
+        assert built >= 30 and constants >= 10 and rational >= 10
 
     def test_a_family_over_another_germ_is_rejected(self):
         names = ("l1", "x", "l2", "y")

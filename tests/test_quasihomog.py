@@ -28,7 +28,7 @@ from bsing.quasihomog import (
     spectrum,
     spectrum_splitting_check,
 )
-from graded_oracle import GradedOracle
+from graded_oracle import GradedOracle, versality as versality_oracle
 
 XY = VarContext(("x", "y"), 0)
 XYZ = VarContext(("x", "y", "z"), 0)
@@ -549,6 +549,37 @@ class TestDecompositionCertificates:
         with pytest.raises(CertificateError, match="lost exactness"):
             brieskorn_reduce(poly("x^2"), bs, w)
 
+    def test_a_corrupted_echelon_row_breaks_the_certificate_of_every_caller(self):
+        # the residue path skips x^2, above the top degree: corrupt the
+        # pivot row of y^2 = (1/3)*f_y instead
+        bs = bsing("x^2+y^3")
+        w = detect_weights(bs.f)
+        spectrum(bs, w)
+        st = bs._graded_engines[w]
+        columns, index, _, pivots, _ = st.echelon(st.degree((0, 2)), st.order())
+        _, tail = pivots[index[(0, 2)]]
+        tail[next(k for k in tail if k >= len(columns))] += 1
+        with pytest.raises(CertificateError, match="lost exactness"):
+            quotient_coordinates(poly("y^2 + y"), bs, w)
+        with pytest.raises(CertificateError, match="lost exactness"):
+            versality_check(deformation_of(bs, "y^2"), w)
+
+    def test_a_lost_staircase_slot_breaks_the_certificate_of_versality(self):
+        bs = bsing("x^2+y^3")
+        w = detect_weights(bs.f)
+        spectrum(bs, w)
+        del bs._graded_engines[w].slot[(1, 1)]
+        with pytest.raises(CertificateError, match="non-staircase monomial escaped"):
+            versality_check(deformation_of(bs, "x*y"), w)
+
+    def test_an_empty_part_has_an_empty_certificate(self):
+        bs = bsing("x^2+y^3")
+        w = detect_weights(bs.f)
+        spectrum(bs, w)
+        st = bs._graded_engines[w]
+        for D in range(st.top + 2):
+            assert st.decompose({}, D, st.order()) == ({}, [{}, {}], 1)
+
     def test_a_lost_staircase_slot_is_an_escaped_monomial(self):
         bs = bsing("x^2+y^3")
         w = detect_weights(bs.f)
@@ -641,6 +672,36 @@ class TestGradedOracle:
                 assert {m: F(c, den * s) for m, c in rem.items()} == want_rem
                 assert [{q: F(c * s_j, den * s) for q, c in cj.items()}
                         for cj, s_j in zip(cof, st.scales)] == want_cof
+
+    def test_versality_matches_the_fraction_oracle(self):
+        # seeded deformations of the rational germs and of F_4: velocities
+        # with rational coefficients over several weighted degrees, so the
+        # parts' denominators differ, plus terms of order 2 in the parameters
+        rng = random.Random(8)
+        germs = rational_germs() + [bsing("x^2+y^3")]
+        outcomes = Counter()
+        for bs in germs:
+            w = detect_weights(bs.f)
+            st = quasihomog._engine(bs, w)
+            stairs = [e.monomial for e in st.spectrum().entries]
+            n = bs.ctx.arity
+            for _ in range(4):
+                k = rng.randint(1, min(len(stairs) + 1, 6))
+                names = tuple(f"l{i}" for i in range(k))
+                family = VarContext(bs.ctx.names + names, bs.ctx.boundary_index)
+                terms = {m + (0,) * k: c for m, c in bs.f.terms.items()}
+                for i in range(k):
+                    unit = tuple(int(j == i) for j in range(k))
+                    velocity = rational_terms(rng, n, 3)
+                    velocity[rng.choice(stairs)] = F(rng.choice([-2, 1, 3]), rng.choice([1, 5]))
+                    for m, c in velocity.items():
+                        terms[m + unit] = c
+                    terms[(0,) * n + tuple(2 * x for x in unit)] = F(1, 3)
+                d = Deformation(Polynomial(family, terms), names, bs)
+                got = versality_check(d, w)
+                assert got == versality_oracle(d, st)
+                outcomes[got.versal] += 1
+        assert outcomes[True] >= 5 and outcomes[False] >= 20
 
 
 BP_EXPONENTS = {
