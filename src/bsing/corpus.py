@@ -35,21 +35,39 @@ _CONTEXTS = {
 def random_germ(rng: random.Random, arity: int) -> Polynomial:
     """Random nonzero germ with f(0) = 0: a sum of 2 to 6 random terms with
     small integer coefficients and total degrees 1 to 6 (fixed, so seeded
-    corpora stay put)."""
-    return Polynomial(_CONTEXTS[arity], _random_terms(rng, arity))
+    corpora stay put), drawn off ``rng.getrandbits`` by :func:`_below`."""
+    return _germ(_CONTEXTS[arity], _random_terms(rng, arity))
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n > 0, by CPython's ``_randbelow`` rule
+    behind ``randint`` and ``choice``: ``getrandbits(n.bit_length())``,
+    redrawn while >= n.  So the corpora draw the stdlib calls' values and
+    leave ``rng`` in their state (``tests/test_corpus.py::TestStdlibStream``)."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _germ(ctx: VarContext, terms: dict[Monomial, int]) -> Polynomial:
+    """The germ of nonzero drawn integer ``terms`` over ``ctx``, unchecked."""
+    return Polynomial._trusted(ctx, {m: Fraction(c) for m, c in terms.items()})
 
 
 def _random_terms(rng: random.Random, arity: int) -> dict[Monomial, int]:
     """The nonzero integer terms of :func:`random_germ`'s draw, redrawn
-    while they cancel to zero."""
+    while they cancel to zero; ``randint``/``choice`` draws read off
+    ``getrandbits`` by :func:`_below`."""
     while True:
         terms: dict[Monomial, int] = {}
-        for _ in range(rng.randint(2, 6)):
+        for _ in range(2 + _below(rng, 5)):
             while True:
-                m = tuple(rng.randint(0, 6) for _ in range(arity))
+                m = tuple([_below(rng, 7) for _ in range(arity)])
                 if 0 < sum(m) <= 6:
                     break
-            c = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+            c = (-3, -2, -1, 1, 1, 2, 3)[_below(rng, 7)]
             terms[m] = terms.get(m, 0) + c
         if terms := {m: c for m, c in terms.items() if c}:
             return terms
@@ -115,58 +133,48 @@ def boundary_corpus(
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1
-        out.append(BoundarySingularity(Polynomial(ctx, terms), _screen=(elems, screen)))
+        out.append(BoundarySingularity(_germ(ctx, terms), _screen=(elems, screen)))
     return out
 
 
-def _diagonal_candidates(rng: random.Random, arity: int) -> Polynomial:
-    """Diagonal quasihomogeneous germ, possibly with one compatible mixed
-    monomial of weighted degree 1."""
-    ctx = _CONTEXTS[arity]
+def _diagonal_candidates(rng: random.Random, arity: int) -> dict[Monomial, int]:
+    """The integer terms of a diagonal quasihomogeneous germ, possibly with
+    one compatible mixed monomial of weighted degree 1 (i*b + j*a == a*b
+    for x^i*y^j over the diagonal x^a, y^b, and likewise in three
+    variables); ``randint``/``choice`` draws read off ``getrandbits`` by
+    :func:`_below`."""
     if arity == 2:
-        kind = rng.randint(0, 3)
+        kind = _below(rng, 4)
         if kind == 0:  # regular f, singular restriction
-            b = rng.randint(2, 8)
-            terms = {(1, 0): 1, (0, b): rng.choice([1, 2])}
-            return Polynomial(ctx, terms)
+            b = 2 + _below(rng, 7)
+            return {(1, 0): 1, (0, b): 1 + _below(rng, 2)}
         if kind == 1:  # x*y + y^k
-            k = rng.randint(2, 8)
-            return Polynomial(ctx, {(1, 1): 1, (0, k): rng.choice([1, 1, 3])})
-        a, b = rng.randint(2, 6), rng.randint(2, 6)
-        terms = {(a, 0): rng.choice([1, 1, 2]), (0, b): rng.choice([1, 1, 2])}
+            k = 2 + _below(rng, 7)
+            return {(1, 1): 1, (0, k): (1, 1, 3)[_below(rng, 3)]}
+        a, b = 2 + _below(rng, 5), 2 + _below(rng, 5)
+        terms = {(a, 0): (1, 1, 2)[_below(rng, 3)], (0, b): (1, 1, 2)[_below(rng, 3)]}
         if kind == 3:
             # mixed monomial i/a + j/b = 1 with i, j >= 1, when one exists
-            options = [
-                (i, j)
-                for i in range(1, a)
-                for j in range(1, b)
-                if Fraction(i, a) + Fraction(j, b) == 1
-            ]
+            options = [(i, j) for i in range(1, a) for j in range(1, b) if i * b + j * a == a * b]
             if options:
-                i, j = rng.choice(options)
-                terms[(i, j)] = terms.get((i, j), 0) + rng.choice([-1, 1, 2])
-        return Polynomial(ctx, terms)
-    exps = [rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 3)]
+                m = options[_below(rng, len(options))]
+                terms[m] = (-1, 1, 2)[_below(rng, 3)]
+        return terms
+    exps = [2 + _below(rng, 3), 2 + _below(rng, 3), 2 + _below(rng, 2)]
     if rng.random() < 0.3:
         exps[0] = 1  # regular ambient germ
     terms = {
-        tuple(e if i == k else 0 for i in range(3)): rng.choice([1, 1, 2])
+        tuple(e if i == k else 0 for i in range(3)): (1, 1, 2)[_below(rng, 3)]
         for k, e in enumerate(exps)
     }
     if rng.random() < 0.4:
         a, b, c = exps
-        options = [
-            (i, j, k)
-            for i in range(a)
-            for j in range(b)
-            for k in range(c)
-            if 2 <= i + j + k
-            and Fraction(i, a) + Fraction(j, b) + Fraction(k, c) == 1
-        ]
-        if options:
-            m = rng.choice(options)
-            terms[m] = terms.get(m, 0) + rng.choice([-1, 1])
-    return Polynomial(ctx, terms)
+        options = [(i, j, k) for i in range(a) for j in range(b) for k in range(c)
+                   if 2 <= i + j + k and i * b * c + j * a * c + k * a * b == a * b * c]
+        if options:  # i < a, j < b, k < c: no diagonal monomial is hit
+            m = options[_below(rng, len(options))]
+            terms[m] = (-1, 1)[_below(rng, 2)]
+    return terms
 
 
 def quasihomogeneous_corpus(
@@ -178,7 +186,7 @@ def quasihomogeneous_corpus(
     seen = set()
     while len(out) < count:
         arity = 2 if rng.random() < 0.7 else 3
-        f = _diagonal_candidates(rng, arity)
+        f = _germ(_CONTEXTS[arity], _diagonal_candidates(rng, arity))
         if f in seen:
             continue
         try:

@@ -20,7 +20,7 @@ staircase rows, one per candidate, and row-reduces those fraction-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -81,19 +81,22 @@ def _coefficients(p: Polynomial, params: Sequence[str], ctx: VarContext) -> list
 @dataclass(frozen=True)
 class Deformation:
     """A polynomial family F over variables plus parameters, with its base
-    germ F|_{lambda=0} as a boundary singularity."""
+    germ F|_{lambda=0} as a boundary singularity.  ``_read`` is private to
+    :meth:`from_family`: the :func:`_coefficients` list it read off F, so
+    the restriction check does not read F again."""
 
     F: Polynomial
     parameters: tuple[str, ...]
     base: BoundarySingularity
+    _read: InitVar[list[Polynomial] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _read):
         names = self.F.context.names
         if len(set(self.parameters)) != len(self.parameters):
             raise ValueError("parameters must be distinct")
         if any(p not in names for p in self.parameters):
             raise ValueError("parameters must belong to the family context")
-        if _coefficients(self.F, self.parameters, self.base.ctx)[0] != self.base.f:
+        if (_read or _coefficients(self.F, self.parameters, self.base.ctx))[0] != self.base.f:
             raise ValueError("family does not restrict to the base germ")
 
     @classmethod
@@ -117,10 +120,9 @@ class Deformation:
             raise ValueError("boundary variable must be a germ variable")
         boundary = var_names.index(ctx.names[ctx.boundary_index])
         base_ctx = VarContext(var_names, boundary)
-        base = BoundarySingularity(
-            _coefficients(F, params, base_ctx)[0], allow_non_isolated=allow_non_isolated
-        )
-        return cls(F, params, base)
+        read = _coefficients(F, params, base_ctx)
+        base = BoundarySingularity(read[0], allow_non_isolated=allow_non_isolated)
+        return cls(F, params, base, read)
 
     def velocities(self) -> list[Polynomial]:
         """dF/d(lambda_i) at lambda = 0, one polynomial over the germ

@@ -283,20 +283,6 @@ class Polynomial:
             m[:i] + m[i + 1 :]: c for m, c in self._terms.items() if not m[i]
         })
 
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute images[i] for variable i; images share one context."""
-        if len(images) != self.context.arity:
-            raise ValueError("need one image per variable")
-        target = images[0].context if images else self.context
-        out = Polynomial.zero(target)
-        for m, c in self._terms.items():
-            term = Polynomial.constant(target, c)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
-        return out
-
     # -- equality / hash / display -------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -108,8 +108,10 @@ class _Elem:
 
 def _keyed(p: Polynomial) -> tuple[dict, int]:
     """The terms of ``p`` on kernel keys, made integral by the least s > 0,
-    and s."""
-    s = math.lcm(*(c.denominator for c in p._terms.values()))
+    and s; an integral p (a drawn germ, most generators) keeps its numerators."""
+    s = math.lcm(*[c.denominator for c in p._terms.values()])
+    if s == 1:
+        return {(sum(m),) + m[::-1]: c.numerator for m, c in p._terms.items()}, 1
     return {_key(m): c.numerator * (s // c.denominator) for m, c in p._terms.items()}, s
 
 

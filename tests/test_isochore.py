@@ -258,3 +258,31 @@ class TestAtZero:
         assert Deformation(F_poly, ("l1", "l2"), d.base).velocities() == [
             parse_polynomial(v, d.base.ctx) for v in ("x", "y")
         ]
+
+    def test_from_family_reads_the_family_once(self, monkeypatch):
+        # from_family hands the list it read to the constructor; a
+        # hand-built deformation reads F itself, and both still check it
+        import bsing.isochore as isochore_module
+
+        calls = []
+        real = isochore_module._coefficients
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(isochore_module, "_coefficients", counting)
+        ctx = VarContext(("x", "y", "l1", "l2"), 0)
+        F_poly = parse_polynomial("x^2+y^3+l1*x+l2*y+l1*l2", ctx)
+        d = Deformation.from_family(F_poly, ("l1", "l2"))
+        assert len(calls) == 1
+        assert Deformation(F_poly, ("l1", "l2"), d.base) == d
+        assert len(calls) == 2
+        base = d.base.ctx
+        for read in ([parse_polynomial("x^2+y^5", base)], [d.base.f * 2]):
+            with pytest.raises(ValueError, match="does not restrict to the base germ"):
+                Deformation(F_poly, ("l1", "l2"), d.base, read)
+        for params, match in ((("l1", "l1"), "distinct"), (("l1", "t"), "belong")):
+            with pytest.raises(ValueError, match=match):
+                Deformation(F_poly, params, d.base, [d.base.f])
+        assert len(calls) == 2
