@@ -6,15 +6,22 @@ Three local algebras are attached to the pair: the ambient quotient by
 and the quotient by the boundary Jacobian ideal (x*df/dx, df/dy_1, ...).
 Their dimensions are the three Milnor numbers, and the boundary one is
 always the sum of the other two when all are finite.
+
+One derivation, :func:`_jacobian_terms`, reads the generators of the three
+ideals off f's coefficient dict.  The public generator lists take its
+``Fraction`` terms; the germ's standard-basis runs and the corpus screen
+take its terms over f's integer multiple, as plain monomial dicts, through
+:func:`bsing.standard_basis._staircase`, the kernel's one entry for them.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from typing import Iterator
 
-from .polyring import Polynomial, VarContext
-from .standard_basis import INFINITE, StandardBasis, _Elem, _keyed, _staircase, quotient_basis
+from .polyring import Polynomial, VarContext, _derivative
+from .standard_basis import INFINITE, StandardBasis, _cleared, _staircase, quotient_basis
 
 _SCREEN_CAP = 9  # a screened basis modulo m^9 with a corner below 9 is exact
 
@@ -33,6 +40,23 @@ class NonIsolatedError(ValueError):
         self.reason = reason
 
 
+def _jacobian_terms(terms: dict, ctx: VarContext) -> Iterator[list[dict]]:
+    """The generator terms of J_{f,H}, J_f and J_{f|H}, in the order of
+    their generator lists, for the germ f with the coefficient dict
+    ``terms`` (``Fraction`` or ``int`` values) over ``ctx``.  The ideals are
+    yielded one at a time, so a caller that needs only J_{f,H} derives no
+    more.  x*f_x keeps each monomial with x, scaled by its exponent of x;
+    J_f shares its f_{y_i} with J_{f,H}; x -> 0 keeps the monomials without
+    x and drops their exponent of x, which merges none."""
+    b = ctx.boundary_index
+    boundary = [{m: c * m[b] for m, c in terms.items() if m[b]}]
+    boundary += [_derivative(terms, i) for i in range(ctx.arity) if i != b]
+    yield boundary
+    yield [*boundary[1:b + 1], _derivative(terms, b), *boundary[b + 1:]]
+    rest = {m[:b] + m[b + 1:]: c for m, c in terms.items() if not m[b]}
+    yield [_derivative(rest, j) for j in range(ctx.arity - 1)]
+
+
 def jacobian_ideal_boundary(f: Polynomial) -> list[Polynomial]:
     """Generators [x*df/dx, df/dy_1, ..., df/dy_n] of the boundary
     Jacobian ideal, with x the boundary variable of f's context."""
@@ -41,13 +65,7 @@ def jacobian_ideal_boundary(f: Polynomial) -> list[Polynomial]:
         raise ValueError("context has no boundary variable")
     if f.constant_term() != 0:
         raise InvalidGermError("f must vanish at the origin")
-    b = ctx.boundary_index
-    # x*df/dx keeps every monomial with m[b] > 0 and scales it by m[b]
-    gens = [Polynomial._trusted(ctx, {m: c * m[b] for m, c in f._terms.items() if m[b]})]
-    gens.extend(
-        f.partial_derivative(i) for i in range(ctx.arity) if i != b
-    )
-    return gens
+    return [Polynomial._trusted(ctx, t) for t in next(_jacobian_terms(f._terms, ctx))]
 
 
 def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
@@ -63,40 +81,6 @@ def restrict_to_boundary(f: Polynomial) -> Polynomial:
     return f.substitute_zero(b)
 
 
-# Kernel elements of the Jacobian ideals, read off f's integer terms on
-# kernel keys (deg, e_n, ..., e_1), variable i of n at position n - i:
-# d/dx_i lowers the degree and that position by one and multiplies by the
-# exponent there, x*d/dx keeps the key, and x -> 0 drops x's position.  An
-# element is primitive whatever the scale of its terms, so these are the
-# _inputs of the Polynomial generators built above.
-
-
-def _partial(terms: dict, p: int) -> _Elem:
-    """d/dx of the key ``terms``, with x at key position ``p``."""
-    return _Elem({(k[0] - 1, *k[1:p], k[p] - 1, *k[p + 1:]): c * k[p]
-                  for k, c in terms.items() if k[p]})
-
-
-def _boundary_elems(terms: dict, n: int, b: int) -> list[_Elem]:
-    """The elements of [x*df/dx, df/dy_1, ...] for f with the key ``terms``
-    in ``n`` variables, x = x_b."""
-    p = n - b
-    return [_Elem({k: c * k[p] for k, c in terms.items() if k[p]})] + [
-        _partial(terms, n - i) for i in range(n) if i != b]
-
-
-def _ideal_elems(f: Polynomial) -> tuple[list[_Elem], list[_Elem], list[_Elem]]:
-    """The elements of J_{f,H}, J_f and J_{f|H}, in the order of their
-    generator lists; J_f shares its df/dy_i with J_{f,H}."""
-    terms = _keyed(f)[0]
-    n, b = f.context.arity, f.context.boundary_index
-    boundary = _boundary_elems(terms, n, b)
-    p = n - b
-    rest = {k[:p] + k[p + 1:]: c for k, c in terms.items() if not k[p]}
-    return (boundary, [*boundary[1:b + 1], _partial(terms, p), *boundary[b + 1:]],
-            [_partial(rest, n - 1 - j) for j in range(n - 1)])
-
-
 class BoundarySingularity:
     """A germ f with a marked boundary hyperplane, with its standard bases
     and local algebras computed at construction.  What the Milnor numbers
@@ -108,13 +92,13 @@ class BoundarySingularity:
     Immutable after construction, apart from those views and the cache of
     graded engines that the quasihomogeneous computations fill per weight
     vector; rejects non-isolated input (infinite boundary Milnor number) unless
-    ``allow_non_isolated`` is set.  The kernel elements of each ideal are
-    read off f's integer terms (:func:`_ideal_elems`) and go through the
-    rules of :func:`bsing.standard_basis.staircase_quotient`, so its ``sb_*``
-    attribute is ``None`` where that builds no basis: for a zero ideal, or
-    one with an axis free of pure powers (infinite colength).  A
+    ``allow_non_isolated`` is set.  The generator terms of each ideal are
+    read off f's integer terms by :func:`_jacobian_terms` and go through
+    the rules of :func:`bsing.standard_basis.staircase_quotient`, so its
+    ``sb_*`` attribute is ``None`` where that builds no basis: for a zero
+    ideal, or one with an axis free of pure powers (infinite colength).  A
     non-isolated germ is rejected before the ambient and restriction
-    ideals are touched.
+    ideals are derived.
 
     When the boundary algebra is finite, its basis's ``degree_cap`` D is a
     corner: m^D lies in J_{f,H} = (x*f_x, f_y), hence in J_f, which
@@ -125,14 +109,14 @@ class BoundarySingularity:
     both their Milnor numbers are finite.  Without a finite boundary
     algebra they take the uncapped path.
 
-    ``_screen = (elems, sb)`` is private to ``boundary_corpus``: ``sb`` is
-    the basis modulo m^9 (``_SCREEN_CAP``) of the kernel elements ``elems``
-    of f's boundary generators, checked against f's own, its corner below
-    the cap certifying it.
+    ``_screen = (gens, sb)`` is private to ``boundary_corpus``: ``sb`` is
+    the basis modulo m^9 (``_SCREEN_CAP``) of the integer generator terms
+    ``gens`` of f's boundary ideal, checked against f's own, its corner
+    below the cap certifying it.
     """
 
     def __init__(self, f: Polynomial, allow_non_isolated: bool = False, *,
-                 _screen: tuple[list[_Elem], StandardBasis] | None = None):
+                 _screen: tuple[list[dict], StandardBasis] | None = None):
         if f.is_zero():
             raise InvalidGermError("f must be nonzero")
         if f.constant_term() != 0:
@@ -142,12 +126,13 @@ class BoundarySingularity:
         self.f = f
         self.ctx: VarContext = f.context
 
-        boundary, ambient, restriction = _ideal_elems(f)
+        ideals = _jacobian_terms(_cleared(f._terms)[0], self.ctx)
+        boundary = next(ideals)
         if _screen is None:
             self.sb_boundary, self.algebra_boundary = _staircase(self.ctx, boundary, None)
         else:
-            elems, sb = _screen
-            if [e.terms for e in elems] != [e.terms for e in boundary]:
+            gens, sb = _screen
+            if gens != boundary:
                 raise ValueError("screened basis is not of this germ's boundary generators")
             if sb.degree_cap is None or sb.degree_cap >= _SCREEN_CAP:
                 raise ValueError(f"screened basis has no corner below {_SCREEN_CAP}")
@@ -158,6 +143,7 @@ class BoundarySingularity:
         # the boundary corner D caps both other runs: m^D lies in J_{f,H},
         # which lies in J_f and maps onto J_{f|H} under x -> 0
         cap = self.sb_boundary.degree_cap if self.algebra_boundary.is_finite else None
+        ambient, restriction = ideals
         self.sb_ambient, self.algebra_ambient = _staircase(self.ctx, ambient, cap)
         # a zero restriction has only zero generators (none in arity 0), which
         # take it to the point algebra or the infinite marker

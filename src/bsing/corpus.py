@@ -18,11 +18,11 @@ from .boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
-    _boundary_elems,
+    _jacobian_terms,
 )
 from .polyring import Monomial, Polynomial, VarContext
 from .quasihomog import NotQuasihomogeneousError, detect_weights
-from .standard_basis import _axis_orders, _basis, _key, quotient_basis
+from .standard_basis import _staircase
 
 DEFAULT_SEED = 20240
 
@@ -73,17 +73,6 @@ def _random_terms(rng: random.Random, arity: int) -> dict[Monomial, int]:
             return terms
 
 
-def _boundary_supports(ctx: VarContext, terms: dict[Monomial, int]) -> list[list[Monomial]]:
-    """The supports of :func:`bsing.boundary.jacobian_ideal_boundary` of
-    the germ with nonzero ``terms`` over ``ctx``: x*f_x keeps the monomials
-    with x, and f_{y_i} maps m to m - e_i, which is injective, so no
-    coefficient cancels."""
-    b = ctx.boundary_index
-    return [[m for m in terms if m[b]]] + [
-        [m[:i] + (m[i] - 1,) + m[i + 1:] for m in terms if m[i]]
-        for i in range(ctx.arity) if i != b]
-
-
 def boundary_corpus(
     seed: int = DEFAULT_SEED,
     count: int = 50,
@@ -93,23 +82,19 @@ def boundary_corpus(
     drawn by :func:`random_germ` (total degree at most 6).
 
     Candidates are screened first (most random germs are degenerate, and
-    building one exactly can take many runs): one standard basis of the
-    boundary Jacobian ideal modulo m^9, on kernel elements read off the
-    integer terms (:func:`bsing.boundary._boundary_elems`), must find its
-    highest corner below 9, certifying m^8 inside the ideal, and its
-    staircase size is then mu_{f,H}.  Before it, a candidate is refused
-    with nothing built when some axis x_i has no pure power x_i^k with
-    k < 9 among the generators (:func:`bsing.standard_basis._axis_orders`):
-    with none at all the ideal lies in the axis's ideal, and m^D inside the
-    ideal, restricted to the axis, puts a pure power of order at most D
-    there.  The generators' supports follow from f's alone
-    (:func:`_boundary_supports`).  A survivor hands those elements, checked
-    against its own, and that basis to its germ, which keeps the basis as
-    its boundary basis (its tail can differ from an unscreened build's);
-    the basis's corner caps the germ's ambient and restriction runs.  Both
-    those Milnor numbers are then finite, as J_{f,H} lies in J_f and maps
-    onto J_{f|H} under x -> 0.  A few mu = 0 germs are admitted, so
-    ``max_mu`` must be at least 1.
+    building one exactly can take many runs).  The boundary generators are
+    read off the drawn integer terms (:func:`bsing.boundary._jacobian_terms`)
+    and go through :func:`bsing.standard_basis._staircase` modulo m^9, which
+    refuses an ideal with an axis free of pure powers with no basis built;
+    otherwise its basis must find its highest corner below 9, certifying
+    m^8 inside the ideal, and its staircase size is then mu_{f,H}.  A
+    survivor hands those generators, checked against its own, and that
+    basis to its germ, which keeps the basis as its boundary basis (its
+    tail can differ from an unscreened build's); the basis's corner caps
+    the germ's ambient and restriction runs.  Both those Milnor numbers are
+    then finite, as J_{f,H} lies in J_f and maps onto J_{f|H} under
+    x -> 0.  A few mu = 0 germs are admitted, so ``max_mu`` must be at
+    least 1.
     """
     if max_mu < 1:
         raise ValueError("max_mu must be >= 1: the mu = 0 germs are rationed")
@@ -119,21 +104,18 @@ def boundary_corpus(
     while len(out) < count:
         arity = 2 if rng.random() < 0.65 else 3
         ctx, terms = _CONTEXTS[arity], _random_terms(rng, arity)
-        orders = _axis_orders(_boundary_supports(ctx, terms), arity)
-        if orders is None or max(orders) >= _SCREEN_CAP:
+        gens = next(_jacobian_terms(terms, ctx))
+        screen, algebra = _staircase(ctx, gens, _SCREEN_CAP)
+        if screen is None or screen.degree_cap >= _SCREEN_CAP:
             continue
-        elems = _boundary_elems({_key(m): c for m, c in terms.items()}, arity, 0)
-        screen = _basis(ctx, elems, [], False, _SCREEN_CAP)
-        if screen.degree_cap >= _SCREEN_CAP:
-            continue
-        mu = quotient_basis(screen).dimension
+        mu = algebra.dimension
         if mu > max_mu:
             continue
         if mu == 0:
             if trivial_quota <= 0:
                 continue
             trivial_quota -= 1
-        out.append(BoundarySingularity(_germ(ctx, terms), _screen=(elems, screen)))
+        out.append(BoundarySingularity(_germ(ctx, terms), _screen=(gens, screen)))
     return out
 
 

@@ -20,7 +20,7 @@ staircase rows, one per candidate, and row-reduces those fraction-free.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,26 +78,38 @@ def _coefficients(p: Polynomial, params: Sequence[str], ctx: VarContext) -> list
     return [Polynomial._trusted(ctx, t) for t in out]
 
 
+def _parameters(F: Polynomial, parameters: Sequence[str]) -> tuple[str, ...]:
+    """``parameters`` as a tuple, once checked: distinct, and each a
+    variable of F's context (``ValueError``)."""
+    params = tuple(parameters)
+    if len(set(params)) != len(params):
+        raise ValueError("parameters must be distinct")
+    for p in params:
+        if p not in F.context.names:
+            raise ValueError(f"parameter {p!r} does not belong to the family context")
+    return params
+
+
 @dataclass(frozen=True)
 class Deformation:
     """A polynomial family F over variables plus parameters, with its base
-    germ F|_{lambda=0} as a boundary singularity.  ``_read`` is private to
-    :meth:`from_family`: the :func:`_coefficients` list it read off F, so
-    the restriction check does not read F again."""
+    germ F|_{lambda=0} as a boundary singularity.  The :func:`_coefficients`
+    list of F is read once, at construction, and kept for
+    :meth:`velocities`; ``_read`` is private to :meth:`from_family`, which
+    hands over the list it already read."""
 
     F: Polynomial
     parameters: tuple[str, ...]
     base: BoundarySingularity
     _read: InitVar[list[Polynomial] | None] = None
+    _velocities: tuple[Polynomial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _read):
-        names = self.F.context.names
-        if len(set(self.parameters)) != len(self.parameters):
-            raise ValueError("parameters must be distinct")
-        if any(p not in names for p in self.parameters):
-            raise ValueError("parameters must belong to the family context")
-        if (_read or _coefficients(self.F, self.parameters, self.base.ctx))[0] != self.base.f:
+        _parameters(self.F, self.parameters)
+        read = _read or _coefficients(self.F, self.parameters, self.base.ctx)
+        if read[0] != self.base.f:
             raise ValueError("family does not restrict to the base germ")
+        object.__setattr__(self, "_velocities", tuple(read[1:]))
 
     @classmethod
     def from_family(
@@ -108,13 +120,8 @@ class Deformation:
     ) -> "Deformation":
         """Build the base by setting every parameter to zero.  The family's
         context must list the germ variables first, then the parameters."""
-        params = tuple(parameters)
-        if len(set(params)) != len(params):
-            raise ValueError("parameters must be distinct")
+        params = _parameters(F, parameters)
         ctx = F.context
-        for p in params:
-            if p not in ctx.names:
-                raise ValueError(f"parameter {p!r} not in the family context")
         var_names = tuple(s for s in ctx.names if s not in params)
         if ctx.boundary_index is None or ctx.names[ctx.boundary_index] in params:
             raise ValueError("boundary variable must be a germ variable")
@@ -127,7 +134,7 @@ class Deformation:
     def velocities(self) -> list[Polynomial]:
         """dF/d(lambda_i) at lambda = 0, one polynomial over the germ
         variables per parameter: the coefficient of lambda_i^1 in F."""
-        return _coefficients(self.F, self.parameters, self.base.ctx)[1:]
+        return list(self._velocities)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,12 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _derivative(terms: dict, i: int) -> dict:
+    """d/dx_i of the coefficient dict ``terms`` (``Fraction`` or ``int``
+    values): m -> m - e_i is injective, so no coefficient cancels."""
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]}
+
+
 def format_monomial(m: Monomial, names: Sequence[str]) -> str:
     parts = []
     for name, e in zip(names, m):
@@ -273,9 +279,7 @@ class Polynomial:
     # so the results hold nonzero Fractions and need no checks
 
     def partial_derivative(self, i: int) -> "Polynomial":
-        return Polynomial._trusted(self.context, {
-            m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in self._terms.items() if m[i]
-        })
+        return Polynomial._trusted(self.context, _derivative(self._terms, i))
 
     def substitute_zero(self, i: int) -> "Polynomial":
         """Set variable ``i`` to zero and drop it from the context."""

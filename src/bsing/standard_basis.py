@@ -16,12 +16,14 @@ the graded engine in :mod:`bsing.quasihomog`.
 One fraction-free kernel runs division, S-polynomials and completion on
 integer elements (:class:`_Elem`): primitive integer polynomials with
 positive leading coefficient, with leading monomial, leading coefficient
-and ecart cached.  :func:`_inputs` clears ``Polynomial`` generators to
-elements once; :class:`bsing.boundary.BoundarySingularity` reads the
-elements of its Jacobian ideals off the germ's integer terms instead.
-Every basis is built by :func:`_basis` and keeps the elements of its
-generators for :meth:`StandardBasis.contains`; it turns them into
-``Polynomial`` generators only when ``generators`` is first read.  A step
+and ecart cached.  Elements and their keys live in this module only.
+:func:`_staircase`, the one entry for the Jacobian ideals of a germ, takes
+integer coefficient dicts on plain monomials, applies its zero and axis
+rules to them, and only then builds elements; :func:`_inputs` clears
+``Polynomial`` generators to elements once.  Every basis is built by
+:func:`_basis` and keeps the elements of its generators for
+:meth:`StandardBasis.contains`; it turns them into ``Polynomial``
+generators only when ``generators`` is first read.  A step
 replaces h by (lc_g/d)*h - (lc_h/d)*x^q*g, d = gcd(lc_h, lc_g), truncates
 and divides out the content, so a value is known up to a rational
 multiple, which a basis or a membership test allows.  Tracked, an element carries the
@@ -111,7 +113,7 @@ def _keyed(p: Polynomial) -> tuple[dict, int]:
     and s; an integral p (a drawn germ, most generators) keeps its numerators."""
     s = math.lcm(*[c.denominator for c in p._terms.values()])
     if s == 1:
-        return {(sum(m),) + m[::-1]: c.numerator for m, c in p._terms.items()}, 1
+        return {(sum(m), *m[::-1]): c.numerator for m, c in p._terms.items()}, 1
     return {_key(m): c.numerator * (s // c.denominator) for m, c in p._terms.items()}, s
 
 
@@ -249,14 +251,14 @@ class StandardBasis(_Record):
     :func:`quotient_basis` honour it.  Below a given cap, and always without
     one, it is the highest corner: m^D lies in the ideal itself.
 
-    ``_walk`` holds the runs of :func:`_runs` when the completion already
-    walked this staircase, so :func:`quotient_basis` need not walk again.
     ``_elems`` holds the kernel elements of ``generators``, in their order,
     for :meth:`contains`.  A basis built by hand converts its generators
     once, and they must share one context (``ValueError``).  A basis of the
     completion (:meth:`_kept`) holds the elements it kept with their
     scales, and builds the ``Polynomial`` generators only when they are
-    first read.
+    first read; its ``_walk`` holds the runs of :func:`_runs` when the
+    completion already walked this staircase, so :func:`quotient_basis`
+    need not walk again.
     """
 
     _fields = ("generators", "leading_monomials", "representations", "degree_cap")
@@ -267,14 +269,11 @@ class StandardBasis(_Record):
         leading_monomials: tuple[Monomial, ...],
         representations: tuple[tuple[Polynomial, ...], ...] | None = None,
         degree_cap: int | None = None,
-        _walk: list[tuple[Monomial, int]] | None = None,
-        _elems: list[_Elem] | None = None,
     ):
         vars(self).update(
             generators=generators, leading_monomials=leading_monomials,
-            representations=representations, degree_cap=degree_cap, _walk=_walk,
-            _elems=_inputs(generators)[0] if _elems is None else _elems,
-            _ctx=_context(generators) if generators else None)
+            representations=representations, degree_cap=degree_cap, _walk=None,
+            _elems=_inputs(generators)[0], _ctx=_context(generators) if generators else None)
 
     @classmethod
     def _kept(cls, ctx: VarContext, kept: list[_Elem], lms: tuple[Monomial, ...],
@@ -536,22 +535,25 @@ def staircase_quotient(
     build; only generator tails past the corner can differ.
     """
     gens = list(gens)
-    return _staircase(_context(gens) if gens else None, _inputs(gens)[0], degree_cap)
+    return _staircase(_context(gens) if gens else None,
+                      [_cleared(g._terms)[0] for g in gens], degree_cap)
 
 
 def _staircase(
-    ctx: VarContext | None, elems: list[_Elem], degree_cap: int | None,
+    ctx: VarContext | None, gens: list[dict[Monomial, int]], degree_cap: int | None,
 ) -> tuple[StandardBasis | None, "LocalAlgebra"]:
-    """:func:`staircase_quotient` of the kernel ``elems`` over ``ctx``
-    (``None``: no elements, no variables).  The orders read off the keys
-    run backwards, which only reorders them."""
+    """:func:`staircase_quotient` of the integer coefficient dicts ``gens``
+    over ``ctx`` (``None``: no generators, no variables).  The zero and
+    axis rules read the dicts; only generators that pass them are built
+    into kernel elements, on their keys."""
     arity = ctx.arity if ctx else 0
-    live = [e for e in elems if e.terms]
+    live = [t for t in gens if t]
     if not live:
         return None, LocalAlgebra((), INFINITE) if arity else LocalAlgebra(((),), 1)
-    if _axis_orders(([k[1:] for k in e.terms] for e in live), arity) is None:
+    if _axis_orders(live, arity) is None:
         return None, LocalAlgebra((), INFINITE)
-    sb = _basis(ctx, live, [], False, degree_cap)
+    elems = [_Elem({(sum(m), *m[::-1]): c for m, c in t.items()}) for t in live]
+    sb = _basis(ctx, elems, [], False, degree_cap)
     return sb, quotient_basis(sb)
 
 
@@ -680,6 +682,8 @@ def _cleared(terms: dict) -> tuple[dict, int]:
     """Rational ``terms`` over the integers: (ints, s), terms == ints/s, with
     s > 0 the least common denominator."""
     s = math.lcm(*(c.denominator for c in terms.values()))
+    if s == 1:
+        return {k: c.numerator for k, c in terms.items()}, 1
     return {k: c.numerator * (s // c.denominator) for k, c in terms.items()}, s
 
 

@@ -3,20 +3,22 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsing.standard_basis as sb_module
 from bsing.boundary import (
     BoundarySingularity,
     InvalidGermError,
     NonIsolatedError,
-    _ideal_elems,
+    _jacobian_terms,
     check_additivity,
     jacobian_ideal,
     jacobian_ideal_boundary,
     milnor_numbers,
     restrict_to_boundary,
 )
-from bsing.corpus import _boundary_supports, _random_terms, boundary_corpus, random_germ
+from bsing.corpus import _random_terms, boundary_corpus, random_germ
 from bsing.polyring import Polynomial, VarContext, parse_polynomial
 from bsing.standard_basis import (
     INFINITE,
@@ -363,8 +365,10 @@ class TestCorpusScreen:
 
     def test_screened_path_rejects_a_foreign_or_uncertified_basis(self):
         def screened(g):
-            gens = jacobian_ideal_boundary(g)
-            return sb_module._inputs(gens)[0], standard_basis(gens, degree_cap=9)
+            # the corpus screen of g: its boundary generator terms and their
+            # basis modulo m^9 through the kernel's entry
+            gens = [sb_module._cleared(p.terms)[0] for p in jacobian_ideal_boundary(g)]
+            return gens, sb_module._staircase(g.context, gens, 9)[0]
 
         f = poly("x^2 + y^3")
         assert BoundarySingularity(f, _screen=screened(f)).mu_boundary == 4
@@ -377,20 +381,29 @@ class TestCorpusScreen:
         with pytest.raises(ValueError, match="no corner below"):
             BoundarySingularity(deep, _screen=screened(deep))
 
-    def test_supports_are_the_generators_supports(self):
-        # the corpus refuses candidates on supports read off f's terms; they
-        # are the supports of the boundary generators, so the orders agree
+    def test_supports_are_the_generators_supports(self, monkeypatch):
+        # the corpus screen reads the boundary generators off the drawn
+        # integer terms: they are the public generators, and the screen
+        # refuses with no basis built exactly the candidates whose public
+        # generators leave an axis free of pure powers.  Drawn germs have
+        # degree <= 6, so no axis order reaches the cap of 9
+        calls = count_standard_basis(monkeypatch)
         rng = random.Random(6)
         kinds = Counter()
         for i in range(400):
             ctx = XY if i % 2 else XYZ
             terms = _random_terms(rng, ctx.arity)
             gens = jacobian_ideal_boundary(Polynomial(ctx, terms))
-            supports = _boundary_supports(ctx, terms)
-            assert [set(s) for s in supports] == [set(g.terms) for g in gens], terms
-            orders = _axis_orders(supports, ctx.arity)
-            assert orders == _orders(gens), terms
-            kinds["refused" if orders is None or max(orders) >= 9 else "screened"] += 1
+            screen_gens = next(_jacobian_terms(terms, ctx))
+            assert screen_gens == [g.terms for g in gens], terms
+            del calls[:]
+            sb, algebra = sb_module._staircase(ctx, screen_gens, 9)
+            orders = _orders(gens)
+            assert (sb is None) == (orders is None) == (calls == []), terms
+            assert orders is None or max(orders) <= 6, terms
+            if sb is None:
+                assert algebra == LocalAlgebra((), INFINITE), terms
+            kinds["refused" if sb is None else "screened"] += 1
         assert min(kinds.values()) >= 100, kinds
 
     def test_max_mu_below_one_is_rejected(self):
@@ -488,28 +501,46 @@ class TestKernelElements:
                 germs.append(f)
         return germs
 
-    def test_elements_are_those_of_the_generators(self):
+    def test_elements_are_those_of_the_generators(self, monkeypatch):
+        # every kernel run of a germ starts from the _inputs of the live
+        # public generators of an ideal that passes the zero and axis
+        # rules; each run is answered by the unit basis, so none is made
+        # and each germ's later ideals take the inherited cap 0
+        calls = []
+
+        def record(ctx, elems, scales, track, cap):
+            calls.append([(e.terms, e.lm, e.lc, e.ecart) for e in elems])
+            return sb_module.StandardBasis._kept(ctx, [], (), None, 0, [])
+
+        monkeypatch.setattr(sb_module, "_basis", record)
         kinds = Counter()
         for f in self._germs():
             restriction = restrict_to_boundary(f)
-            ideals = zip(_ideal_elems(f), (jacobian_ideal_boundary(f), jacobian_ideal(f),
-                                           jacobian_ideal(restriction)))
-            for elems, gens in ideals:
-                want = sb_module._inputs(gens)[0]
-                assert [(e.terms, e.lm, e.lc, e.ecart) for e in elems] == [
-                    (e.terms, e.lm, e.lc, e.ecart) for e in want], str(f)
+            want = []
+            for gens in (jacobian_ideal_boundary(f), jacobian_ideal(f),
+                         jacobian_ideal(restriction)):
+                live = [e for e in sb_module._inputs(gens)[0] if e.terms]
+                if live and _orders(gens) is not None:
+                    want.append([(e.terms, e.lm, e.lc, e.ecart) for e in live])
+                else:
+                    kinds["no run"] += 1
+            del calls[:]
+            BoundarySingularity(f, allow_non_isolated=True)
+            assert calls == want, str(f)
             kinds[f"arity {f.context.arity}"] += 1
             kinds["rational"] += any(c.denominator > 1 for c in f.terms.values())
             kinds["zero restriction"] += restriction.is_zero() and f.context.arity > 1
         assert min(kinds["arity 1"], kinds["arity 2"], kinds["arity 3"]) >= 90, kinds
         assert kinds["rational"] >= 200 and kinds["zero restriction"] >= 60, kinds
+        assert kinds["no run"] >= 100, kinds
 
     def test_kept_elements_are_those_of_the_generators(self):
         # the germs above whose boundary ideal the cap-9 screen certifies
         # (so all three builds are bounded), the capped sweep, the corpus's
         # screened germs, and tracked bases, whose kept elements carry
         # representations
-        screens = [(f, sb_module._staircase(f.context, _ideal_elems(f)[0], 9)[0])
+        screens = [(f, sb_module._staircase(
+            f.context, next(_jacobian_terms(sb_module._cleared(f.terms)[0], f.context)), 9)[0])
                    for f in self._germs()]
         germs = [f for f, sb in screens if sb is not None and sb.degree_cap < 9]
         built = [BoundarySingularity(f) for f in germs + capped_sweep()]
@@ -529,3 +560,19 @@ class TestKernelElements:
         assert len(built) >= 200 and kinds["unit"] >= 100 and kinds["tracked"] == 2, kinds
         assert min(kinds["arity 1"], kinds["arity 2"], kinds["no basis"]) >= 90, kinds
         assert kinds["arity 3"] >= 10, kinds
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_boundary_generators_are_the_product_and_the_partials(data):
+    # an oracle outside the one derivation of the three ideals: x_b times
+    # df/dx_b as a Polynomial product, then the other partial derivatives
+    arity = data.draw(st.integers(1, 3))
+    b = data.draw(st.integers(0, arity - 1))
+    ctx = VarContext(("x", "y", "z")[:arity], b)
+    monomial = st.tuples(*[st.integers(0, 4)] * arity).filter(any)
+    coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    f = Polynomial(ctx, data.draw(st.dictionaries(monomial, coeff, max_size=6)))
+    want = [Polynomial.variable(ctx, b) * f.partial_derivative(b)]
+    want += [f.partial_derivative(i) for i in range(arity) if i != b]
+    assert jacobian_ideal_boundary(f) == want

@@ -260,8 +260,9 @@ class TestAtZero:
         ]
 
     def test_from_family_reads_the_family_once(self, monkeypatch):
-        # from_family hands the list it read to the constructor; a
-        # hand-built deformation reads F itself, and both still check it
+        # from_family hands the list it read to the constructor, which keeps
+        # it for the velocities; a hand-built deformation reads F itself,
+        # and both still check it
         import bsing.isochore as isochore_module
 
         calls = []
@@ -275,6 +276,7 @@ class TestAtZero:
         ctx = VarContext(("x", "y", "l1", "l2"), 0)
         F_poly = parse_polynomial("x^2+y^3+l1*x+l2*y+l1*l2", ctx)
         d = Deformation.from_family(F_poly, ("l1", "l2"))
+        assert versality_check(d).spanned_dimension == 3
         assert len(calls) == 1
         assert Deformation(F_poly, ("l1", "l2"), d.base) == d
         assert len(calls) == 2
